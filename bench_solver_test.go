@@ -286,7 +286,9 @@ func benchPostJSON(b *testing.B, url string, body any) (*http.Response, []byte) 
 
 // BenchmarkSolverPrefixHit measures the full service path of a cache hit: a
 // /v1/solve request answered from a longer cached trajectory's prefix,
-// never touching the solver or the worker pool.
+// never touching the solver or the worker pool, its rows' text copied from
+// the entry's row text memo. The steady-state allocs/op of the round trip is
+// recorded too, so benchdiff gates the hit path's allocations.
 func BenchmarkSolverPrefixHit(b *testing.B) {
 	srv := server.New(server.Config{})
 	ts := httptest.NewServer(srv.Handler())
@@ -299,12 +301,14 @@ func BenchmarkSolverPrefixHit(b *testing.B) {
 		}
 	}
 	post(400) // prime the cache past every benchmark request
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		post(200)
 	}
 	b.StopTimer()
-	recordBench(b, "cached_n", 400)
+	allocs := testing.AllocsPerRun(32, func() { post(200) })
+	recordBenchAllocs(b, "cached_n", 400, allocs)
 }
 
 // BenchmarkSolverClusterForward measures the full cross-node hop of a routed

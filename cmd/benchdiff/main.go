@@ -14,7 +14,8 @@
 //     at zero — any growth fails regardless of -tolerance (the repo's hot
 //     steppers are allocation-free by design, and an alloc creeping in is a
 //     correctness-of-design bug, not a perf wobble). A non-zero allocs/op
-//     baseline (the cluster-forward hop) is gated by the -tolerance rule:
+//     baseline (the cluster-forward hop, the prefix-hit round trip) is gated
+//     by the -tolerance rule:
 //     allocation growth past it fails even when ns/op happens to stay flat;
 //   - deep benchmarks (extra_key "ns_per_pop") additionally report their
 //     per-population cost, the depth-scaling figure the README publishes,

@@ -182,11 +182,7 @@ func (g *Gateway) redirectOverloaded(w http.ResponseWriter, r *http.Request, pat
 				Attrs:   []journal.Attr{{Key: "peer", Value: peer}, {Key: "path", Value: path}},
 			})
 		w.Header().Set(headerPeer, res.peer)
-		if ct := res.contentType; ct != "" {
-			w.Header().Set("Content-Type", ct)
-		}
-		w.WriteHeader(res.status)
-		w.Write(res.body)
+		g.local.WriteBody(w, res.status, res.contentType, res.body)
 		return true
 	}
 	return false

@@ -251,31 +251,31 @@ func checkChunkRows(resp *modelio.DeepChunkResponse, fromN, toN int) error {
 // distributed deep solve.
 func (g *Gateway) handleDeepChunk(w http.ResponseWriter, r *http.Request) {
 	if !g.trustedHop(r) {
-		g.writeError(w, http.StatusForbidden, "cluster secret required")
+		g.local.WriteError(w, http.StatusForbidden, "cluster secret required")
 		return
 	}
 	body, err := readBody(w, r)
 	if err != nil {
-		g.writeError(w, bodyStatus(err), err.Error())
+		g.local.WriteError(w, bodyStatus(err), err.Error())
 		return
 	}
 	var req modelio.DeepChunkRequest
 	if err := decodeStrict(body, &req); err != nil {
-		g.writeError(w, bodyStatus(err), err.Error())
+		g.local.WriteError(w, bodyStatus(err), err.Error())
 		return
 	}
 	if err := req.Validate(); err != nil {
-		g.writeError(w, http.StatusBadRequest, err.Error())
+		g.local.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	ctx, cancel := g.local.SolveContext(r.Context(), req.Req.TimeoutMS)
 	defer cancel()
 	res, cps, err := g.local.SolveChunk(ctx, &req.Req, req.FromN, req.ToN, req.Checkpoint)
 	if err != nil {
-		g.writeError(w, errStatus(err), err.Error())
+		g.local.WriteError(w, errStatus(err), err.Error())
 		return
 	}
-	g.writeJSON(w, http.StatusOK, modelio.DeepChunkResponse{
+	g.local.WriteJSON(w, http.StatusOK, modelio.DeepChunkResponse{
 		Peer:       g.cfg.Self,
 		Rows:       modelio.NewDeepRows(res),
 		Checkpoint: *cps,

@@ -47,19 +47,19 @@ type FleetEvents struct {
 // merged result, so filters behave identically fleet-wide.
 func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if !g.trustedHop(r) {
-		g.writeError(w, http.StatusForbidden, "cluster secret required")
+		g.local.WriteError(w, http.StatusForbidden, "cluster secret required")
 		return
 	}
 	q := r.URL.Query()
 	if typ := q.Get("type"); typ != "" && !journal.KnownType(typ) {
-		g.writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown event type %q", typ))
+		g.local.WriteError(w, http.StatusBadRequest, fmt.Sprintf("unknown event type %q", typ))
 		return
 	}
 	limit := 0
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			g.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad limit %q", v))
+			g.local.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad limit %q", v))
 			return
 		}
 		limit = n
@@ -101,7 +101,7 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if limit > 0 && len(out.Events) > limit {
 		out.Events = out.Events[len(out.Events)-limit:]
 	}
-	g.writeJSON(w, http.StatusOK, out)
+	g.local.WriteJSON(w, http.StatusOK, out)
 }
 
 // localEvents reads the local journal under the same query filters the

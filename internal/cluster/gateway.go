@@ -336,20 +336,6 @@ func decodeStrict(body []byte, v any) error {
 	return nil
 }
 
-func (g *Gateway) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		g.cfg.Logger.Error("cluster: writing response", "error", err)
-	}
-}
-
-func (g *Gateway) writeError(w http.ResponseWriter, code int, msg string) {
-	g.writeJSON(w, code, struct {
-		Error string `json:"error"`
-	}{Error: msg})
-}
-
 // handleSolve routes POST /v1/solve: a forwarded hop (or a key this node
 // owns) solves locally through the server engine; anything else forwards to
 // the key's owner with hedging, retries and breaker-aware failover, and
@@ -358,22 +344,22 @@ func (g *Gateway) writeError(w http.ResponseWriter, code int, msg string) {
 func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(w, r)
 	if err != nil {
-		g.writeError(w, bodyStatus(err), err.Error())
+		g.local.WriteError(w, bodyStatus(err), err.Error())
 		return
 	}
 	var req modelio.SolveRequest
 	if err := decodeStrict(body, &req); err != nil {
-		g.writeError(w, bodyStatus(err), err.Error())
+		g.local.WriteError(w, bodyStatus(err), err.Error())
 		return
 	}
 	if err := req.Normalize(); err != nil {
-		g.writeError(w, http.StatusBadRequest, err.Error())
+		g.local.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	telemetry.FromContext(r.Context()).SetAttr("algorithm", req.Algorithm)
 	key, err := req.CacheKey()
 	if err != nil {
-		g.writeError(w, http.StatusInternalServerError, err.Error())
+		g.local.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	if r.URL.Query().Get("deep") != "" {
@@ -391,11 +377,11 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 		resp, err := g.local.Solve(ctx, &req)
 		if err != nil {
-			g.writeError(w, errStatus(err), err.Error())
+			g.local.WriteError(w, errStatus(err), err.Error())
 			return
 		}
 		w.Header().Set(headerPeer, g.cfg.Self)
-		g.writeJSON(w, http.StatusOK, resp)
+		g.local.WriteJSON(w, http.StatusOK, resp)
 	}
 	// Every path that would solve on this node's workers runs through the
 	// admission gate, which can divert past-the-knee arrivals to a peer with
@@ -418,16 +404,16 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	body, err := readBody(w, r)
 	if err != nil {
-		g.writeError(w, bodyStatus(err), err.Error())
+		g.local.WriteError(w, bodyStatus(err), err.Error())
 		return
 	}
 	var req modelio.SweepRequest
 	if err := decodeStrict(body, &req); err != nil {
-		g.writeError(w, bodyStatus(err), err.Error())
+		g.local.WriteError(w, bodyStatus(err), err.Error())
 		return
 	}
 	if err := req.Normalize(); err != nil {
-		g.writeError(w, http.StatusBadRequest, err.Error())
+		g.local.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if r.Header.Get(headerForwarded) != "" && g.trustedHop(r) {
@@ -445,13 +431,13 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	maxN, maxPoints := g.local.Limits()
 	if req.MaxN > maxN {
-		g.writeError(w, http.StatusBadRequest,
+		g.local.WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("max population %d exceeds the server cap %d", req.MaxN, maxN))
 		return
 	}
 	points, err := req.Expand(maxPoints)
 	if err != nil {
-		g.writeError(w, http.StatusBadRequest, err.Error())
+		g.local.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	groups := req.PlanSweep(points)
@@ -484,10 +470,10 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	close(groupCh)
 	wg.Wait()
 	if ctx.Err() != nil {
-		g.writeError(w, http.StatusGatewayTimeout, context.Cause(ctx).Error())
+		g.local.WriteError(w, http.StatusGatewayTimeout, context.Cause(ctx).Error())
 		return
 	}
-	g.writeJSON(w, http.StatusOK, modelio.SweepResponse{
+	g.local.WriteJSON(w, http.StatusOK, modelio.SweepResponse{
 		GridSize:  len(points),
 		Points:    results,
 		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
@@ -499,11 +485,11 @@ func (g *Gateway) serveSweepLocal(w http.ResponseWriter, r *http.Request, req *m
 	defer cancel()
 	resp, err := g.local.Sweep(ctx, req)
 	if err != nil {
-		g.writeError(w, errStatus(err), err.Error())
+		g.local.WriteError(w, errStatus(err), err.Error())
 		return
 	}
 	w.Header().Set(headerPeer, g.cfg.Self)
-	g.writeJSON(w, http.StatusOK, resp)
+	g.local.WriteJSON(w, http.StatusOK, resp)
 }
 
 // subSweep derives one group's single-point sweep: the group's resolved
@@ -614,11 +600,7 @@ func (g *Gateway) route(w http.ResponseWriter, r *http.Request, key, path string
 	}
 	telemetry.FromContext(r.Context()).SetAttr("cluster", "forwarded")
 	w.Header().Set(headerPeer, res.peer)
-	if ct := res.contentType; ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(res.status)
-	w.Write(res.body)
+	g.local.WriteBody(w, res.status, res.contentType, res.body)
 }
 
 // handleExport serves POST /cluster/v1/export: the peer-fill protocol. A
@@ -626,36 +608,36 @@ func (g *Gateway) route(w http.ResponseWriter, r *http.Request, key, path string
 // 404 so the asking node just solves cold.
 func (g *Gateway) handleExport(w http.ResponseWriter, r *http.Request) {
 	if !g.trustedHop(r) {
-		g.writeError(w, http.StatusForbidden, "cluster secret required")
+		g.local.WriteError(w, http.StatusForbidden, "cluster secret required")
 		return
 	}
 	body, err := readBody(w, r)
 	if err != nil {
-		g.writeError(w, bodyStatus(err), err.Error())
+		g.local.WriteError(w, bodyStatus(err), err.Error())
 		return
 	}
 	var req modelio.ExportRequest
 	if err := decodeStrict(body, &req); err != nil {
-		g.writeError(w, bodyStatus(err), err.Error())
+		g.local.WriteError(w, bodyStatus(err), err.Error())
 		return
 	}
 	if err := req.Validate(); err != nil {
-		g.writeError(w, http.StatusBadRequest, err.Error())
+		g.local.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.FillTimeout)
 	defer cancel()
 	res, cp, ok := g.local.ExportCached(ctx, req.Key)
 	if !ok {
-		g.writeError(w, http.StatusNotFound, "no cached trajectory for key")
+		g.local.WriteError(w, http.StatusNotFound, "no cached trajectory for key")
 		return
 	}
 	state, err := modelio.NewTrajectoryState(res, cp)
 	if err != nil {
-		g.writeError(w, http.StatusInternalServerError, err.Error())
+		g.local.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	g.writeJSON(w, http.StatusOK, state)
+	g.local.WriteJSON(w, http.StatusOK, state)
 }
 
 // clusterStatus is the GET /cluster/v1/status body.
@@ -675,7 +657,7 @@ type peerStatusView struct {
 // handleClusterStatus serves GET /cluster/v1/status.
 func (g *Gateway) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 	if !g.trustedHop(r) {
-		g.writeError(w, http.StatusForbidden, "cluster secret required")
+		g.local.WriteError(w, http.StatusForbidden, "cluster secret required")
 		return
 	}
 	st := clusterStatus{
@@ -689,7 +671,7 @@ func (g *Gateway) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 			Peer: p, Up: g.members.peerUp(p), Breaker: state.String(),
 		})
 	}
-	g.writeJSON(w, http.StatusOK, st)
+	g.local.WriteJSON(w, http.StatusOK, st)
 }
 
 // errStatus maps locally served engine errors to HTTP statuses, reusing the

@@ -27,7 +27,7 @@ const maxSelfResponseBytes = 1 << 20
 // models are ready, plus the advisory shed signal if any node raises it.
 func (g *Gateway) handleSelf(w http.ResponseWriter, r *http.Request) {
 	if !g.trustedHop(r) {
-		g.writeError(w, http.StatusForbidden, "cluster secret required")
+		g.local.WriteError(w, http.StatusForbidden, "cluster secret required")
 		return
 	}
 	start := time.Now()
@@ -81,7 +81,7 @@ func (g *Gateway) handleSelf(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	out.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	g.writeJSON(w, http.StatusOK, out)
+	g.local.WriteJSON(w, http.StatusOK, out)
 }
 
 // fetchSelf asks one peer for its self-report. ok=false means the peer could

@@ -45,12 +45,12 @@ type StitchedTrace struct {
 // that parented to them surface as orphan roots.
 func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if !g.trustedHop(r) {
-		g.writeError(w, http.StatusForbidden, "cluster secret required")
+		g.local.WriteError(w, http.StatusForbidden, "cluster secret required")
 		return
 	}
 	id := strings.TrimPrefix(r.URL.Path, "/cluster/v1/trace/")
 	if !telemetry.ValidID(id) {
-		g.writeError(w, http.StatusBadRequest, "bad trace id")
+		g.local.WriteError(w, http.StatusBadRequest, "bad trace id")
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), traceFanoutTimeout)
@@ -86,13 +86,13 @@ func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(out.Fragments) == 0 {
-		g.writeError(w, http.StatusNotFound, "trace not found on any reachable member")
+		g.local.WriteError(w, http.StatusNotFound, "trace not found on any reachable member")
 		return
 	}
 	var tree strings.Builder
 	obs.RenderTree(&tree, obs.Stitch(out.Fragments))
 	out.Tree = tree.String()
-	g.writeJSON(w, http.StatusOK, out)
+	g.local.WriteJSON(w, http.StatusOK, out)
 }
 
 // fetchTraceFragments asks one peer for its local fragments of the trace.

@@ -238,12 +238,17 @@ type Trajectory struct {
 	// MaxX is the trajectory's peak throughput, attained at population MaxXAt.
 	MaxX   float64 `json:"maxX"`
 	MaxXAt int     `json:"maxXAt"`
+
+	// text optionally memoizes the row columns' JSON text (SetRowText).
+	text *RowText
 }
 
 // NewTrajectory extracts a (possibly decimated) trajectory from a Result.
 // A Result that stores no rows (a decimated prefix view below the first
 // stored population) yields an empty trajectory; the caller appends the
-// populations it recovers via AppendRecovered.
+// populations it recovers via AppendRecovered. With every ≤ 1 the row
+// columns alias res's rows instead of copying them: stored rows are
+// immutable, and the clipped capacity makes AppendRecovered reallocate.
 func NewTrajectory(res *core.Result, every int) *Trajectory {
 	t := &Trajectory{
 		Algorithm:    res.Algorithm,
@@ -257,8 +262,10 @@ func NewTrajectory(res *core.Result, every int) *Trajectory {
 	t.FinalUtil = res.FinalUtilization()
 	t.FinalQueueLen = append([]float64(nil), res.QueueLen[len(res.QueueLen)-1]...)
 	t.MaxX, t.MaxXAt = res.MaxThroughput()
-	if every < 1 {
-		every = 1
+	if every <= 1 {
+		k := len(res.N)
+		t.N, t.X, t.R, t.Cycle = res.N[:k:k], res.X[:k:k], res.R[:k:k], res.Cycle[:k:k]
+		return t
 	}
 	last := len(res.N) - 1
 	for i := 0; i < len(res.N); i += every {

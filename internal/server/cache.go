@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/journal"
+	"repro/internal/modelio"
 )
 
 // solveCache is the prefix-reusing LRU solve cache. Entries are keyed by the
@@ -52,6 +53,11 @@ type cacheEntry struct {
 	// traj is the published trajectory: a stable prefix snapshot covering
 	// every solved population, readable without the entry lock.
 	traj atomic.Pointer[core.Result]
+
+	// text memoizes the JSON text of traj's rows for dense prefix hits
+	// (rowText). It is built lazily by the first hit it does not cover, only
+	// ever replaced by a longer memo, and dies with the entry.
+	text atomic.Pointer[modelio.RowText]
 
 	// evicted marks an entry removed from the LRU; lock holders release the
 	// solver's scratch on their way out and lock waiters retry on a fresh
@@ -265,9 +271,10 @@ func (c *solveCache) do(ctx context.Context, key string, maxN int,
 
 // peek answers maxN from key's published snapshot without taking the entry
 // lock: the fast path solveWithKey consults before the coalescer, so plain
-// prefix hits never join a flight. Misses (unknown key, insufficient
+// prefix hits never join a flight. A hit also returns the entry, whose row
+// text memo can serve the reply. Misses (unknown key, insufficient
 // coverage) report ok=false and the caller proceeds to do.
-func (c *solveCache) peek(key string, maxN int) (*core.Result, bool) {
+func (c *solveCache) peek(key string, maxN int) (*core.Result, *cacheEntry, bool) {
 	c.mu.Lock()
 	e, ok := c.items[key]
 	if ok {
@@ -278,14 +285,38 @@ func (c *solveCache) peek(key string, maxN int) (*core.Result, bool) {
 	}
 	c.mu.Unlock()
 	if !ok {
-		return nil, false
+		return nil, nil, false
 	}
 	if t := e.traj.Load(); t != nil && t.SolvedN() >= maxN {
 		if res, err := t.PrefixPop(maxN); err == nil {
-			return res, true
+			return res, e, true
 		}
 	}
-	return nil, false
+	return nil, nil, false
+}
+
+// rowText returns e's row text memo when it covers n rows, or nil. A memo
+// that falls short is first extended to the whole published snapshot (the
+// old text is copied, only the new rows are formatted) and published
+// monotonically: a racing build never replaces a longer memo with a shorter
+// one. Call only for a dense entry whose snapshot covers n.
+func (e *cacheEntry) rowText(n int) *modelio.RowText {
+	cur := e.text.Load()
+	if cur.Rows() >= n {
+		return cur
+	}
+	snap := e.traj.Load()
+	next := cur.Extend(snap.N, snap.X, snap.R, snap.Cycle)
+	for !e.text.CompareAndSwap(cur, next) {
+		if cur = e.text.Load(); cur.Rows() >= next.Rows() {
+			next = cur // a racing build published at least as much
+			break
+		}
+	}
+	if next.Rows() < n {
+		return nil // a row the memo cannot hold (see RowText.Extend)
+	}
+	return next
 }
 
 // export returns key's cached trajectory prefix plus its recursion

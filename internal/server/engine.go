@@ -103,7 +103,7 @@ func (s *Server) Solve(ctx context.Context, req *modelio.SolveRequest) (*modelio
 		return nil, err
 	}
 	start := time.Now()
-	res, hit, err := s.solveCached(ctx, req)
+	res, e, hit, err := s.solveCached(ctx, req)
 	if err != nil {
 		return nil, err
 	}
@@ -118,6 +118,10 @@ func (s *Server) Solve(ctx context.Context, req *modelio.SolveRequest) (*modelio
 			return nil, err
 		}
 		traj.AppendRecovered(rows[0])
+	} else if e != nil && req.Every <= 1 && res.Stride() == 1 {
+		// A dense prefix hit replies with every stored row: AppendJSON
+		// copies their text from the entry's memo instead of re-formatting.
+		traj.SetRowText(e.rowText(req.MaxN))
 	}
 	return &modelio.SolveResponse{
 		Cached:     hit,

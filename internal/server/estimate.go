@@ -175,16 +175,16 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req modelio.ObserveRequest
 	if err := decodeBody(w, r, &req); err != nil {
-		s.writeError(w, decodeStatus(err), err.Error())
+		s.WriteError(w, decodeStatus(err), err.Error())
 		return
 	}
 	if err := req.Normalize(); err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
+		s.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	est, ctl, err := s.estimator(req.Model)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
+		s.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	tr := telemetry.FromContext(r.Context())
@@ -240,7 +240,7 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	resp.SnapshotVersion = est.Version()
 	tr.SetAttr("snapshot_version", int(resp.SnapshotVersion))
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	s.writeJSON(w, http.StatusOK, resp)
+	s.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleDemands serves GET /v1/demands: the fitted curves plus estimator
@@ -253,7 +253,7 @@ func (s *Server) handleDemands(w http.ResponseWriter, r *http.Request) {
 	est, ctl := er.est, er.ctl
 	er.mu.Unlock()
 	if est == nil {
-		s.writeJSON(w, http.StatusOK, resp)
+		s.WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 	health, lastErr := est.Health()
@@ -268,7 +268,7 @@ func (s *Server) handleDemands(w http.ResponseWriter, r *http.Request) {
 	resp.Triggers = ctl.Triggers()
 	snap := est.Snapshot()
 	if snap == nil {
-		s.writeJSON(w, http.StatusOK, resp)
+		s.WriteJSON(w, http.StatusOK, resp)
 		return
 	}
 	resp.SnapshotVersion = snap.Version
@@ -277,7 +277,7 @@ func (s *Server) handleDemands(w http.ResponseWriter, r *http.Request) {
 	resp.Model = snap.Model
 	samples, err := modelio.FromDemandSamples(snap.Model, snap.DemandSamples())
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err.Error())
+		s.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	resp.Samples = samples
@@ -287,7 +287,7 @@ func (s *Server) handleDemands(w http.ResponseWriter, r *http.Request) {
 			Points: st.Points, Residual: st.Residual,
 		})
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.WriteJSON(w, http.StatusOK, resp)
 }
 
 // defaultWhatIfMaxN bounds the saturation search when the query does not
@@ -310,26 +310,26 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	est, _, err := s.estimator(nil)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
+		s.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	snap := est.Snapshot()
 	if snap == nil {
-		s.writeError(w, http.StatusConflict, "no demand snapshot fitted yet: ingest samples and fit first")
+		s.WriteError(w, http.StatusConflict, "no demand snapshot fitted yet: ingest samples and fit first")
 		return
 	}
 	q := r.URL.Query()
 	stationName := q.Get("station")
 	model := snap.Model
 	if stationName == "" {
-		s.writeError(w, http.StatusBadRequest, "missing station parameter")
+		s.WriteError(w, http.StatusBadRequest, "missing station parameter")
 		return
 	}
 	target := 0.95
 	if v := q.Get("util"); v != "" {
 		target, err = strconv.ParseFloat(v, 64)
 		if err != nil || target <= 0 || target > 1 {
-			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad util %q (want a fraction in (0, 1])", v))
+			s.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad util %q (want a fraction in (0, 1])", v))
 			return
 		}
 	}
@@ -337,12 +337,12 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("maxN"); v != "" {
 		maxN, err = strconv.Atoi(v)
 		if err != nil || maxN < 1 {
-			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad maxN %q", v))
+			s.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad maxN %q", v))
 			return
 		}
 	}
 	if maxN > s.cfg.MaxN {
-		s.writeError(w, http.StatusBadRequest,
+		s.WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("maxN %d exceeds the server cap %d", maxN, s.cfg.MaxN))
 		return
 	}
@@ -351,11 +351,11 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		name, count, ok := strings.Cut(spec, "=")
 		c, err := strconv.Atoi(count)
 		if !ok || err != nil || c < 1 {
-			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad servers override %q (want NAME=COUNT)", spec))
+			s.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad servers override %q (want NAME=COUNT)", spec))
 			return
 		}
 		if model.StationIndex(name) < 0 {
-			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("servers override: no station %q", name))
+			s.WriteError(w, http.StatusBadRequest, fmt.Sprintf("servers override: no station %q", name))
 			return
 		}
 		if overrides == nil {
@@ -365,7 +365,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 	}
 	k := model.StationIndex(stationName)
 	if k < 0 {
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("no station %q", stationName))
+		s.WriteError(w, http.StatusBadRequest, fmt.Sprintf("no station %q", stationName))
 		return
 	}
 	if len(overrides) > 0 {
@@ -379,7 +379,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 
 	samples, err := modelio.FromDemandSamples(snap.Model, snap.DemandSamples())
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err.Error())
+		s.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	req := &modelio.SolveRequest{
@@ -390,12 +390,12 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		MaxN:      maxN,
 	}
 	if err := req.Normalize(); err != nil {
-		s.writeError(w, http.StatusInternalServerError, err.Error())
+		s.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	key, err := req.CacheKey()
 	if err != nil {
-		s.writeError(w, http.StatusInternalServerError, err.Error())
+		s.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	s.trackEstimateKey(snap.Version, key)
@@ -405,9 +405,9 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := s.requestContext(r, 0)
 	defer cancel()
-	res, hit, err := s.solveWithKey(ctx, key, req)
+	res, _, hit, err := s.solveWithKey(ctx, key, req)
 	if err != nil {
-		s.writeError(w, statusOf(err), err.Error())
+		s.WriteError(w, statusOf(err), err.Error())
 		return
 	}
 	resp := modelio.WhatIfResponse{
@@ -434,5 +434,5 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	s.writeJSON(w, http.StatusOK, resp)
+	s.WriteJSON(w, http.StatusOK, resp)
 }

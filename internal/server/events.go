@@ -28,19 +28,19 @@ type EventsResponse struct {
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	jn := s.cfg.Journal
 	if !jn.Enabled() {
-		s.writeError(w, http.StatusNotFound, "event journal disabled")
+		s.WriteError(w, http.StatusNotFound, "event journal disabled")
 		return
 	}
 	q := r.URL.Query()
 	f := journal.Filter{Type: q.Get("type"), TraceID: q.Get("trace")}
 	if f.Type != "" && !journal.KnownType(f.Type) {
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown event type %q", f.Type))
+		s.WriteError(w, http.StatusBadRequest, fmt.Sprintf("unknown event type %q", f.Type))
 		return
 	}
 	if v := q.Get("since"); v != "" {
 		since, err := strconv.ParseUint(v, 10, 64)
 		if err != nil {
-			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad since %q", v))
+			s.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad since %q", v))
 			return
 		}
 		f.SinceSeq = since
@@ -48,12 +48,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("limit"); v != "" {
 		limit, err := strconv.Atoi(v)
 		if err != nil || limit < 0 {
-			s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad limit %q", v))
+			s.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad limit %q", v))
 			return
 		}
 		f.Limit = limit
 	}
-	s.writeJSON(w, http.StatusOK, EventsResponse{
+	s.WriteJSON(w, http.StatusOK, EventsResponse{
 		Node:   jn.Node(),
 		Stats:  jn.Stats(),
 		Events: jn.Events(f),
@@ -74,10 +74,10 @@ type ProfilesResponse struct {
 func (s *Server) handleProfileIndex(w http.ResponseWriter, _ *http.Request) {
 	ps := s.cfg.Profiles
 	if !ps.Enabled() {
-		s.writeError(w, http.StatusNotFound, "anomaly profile capture disabled")
+		s.WriteError(w, http.StatusNotFound, "anomaly profile capture disabled")
 		return
 	}
-	s.writeJSON(w, http.StatusOK, ProfilesResponse{
+	s.WriteJSON(w, http.StatusOK, ProfilesResponse{
 		Node:     s.cfg.Journal.Node(),
 		Stats:    ps.Stats(),
 		Profiles: ps.List(),
@@ -91,21 +91,21 @@ func (s *Server) handleProfileIndex(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleProfileGet(w http.ResponseWriter, r *http.Request) {
 	ps := s.cfg.Profiles
 	if !ps.Enabled() {
-		s.writeError(w, http.StatusNotFound, "anomaly profile capture disabled")
+		s.WriteError(w, http.StatusNotFound, "anomaly profile capture disabled")
 		return
 	}
 	id := strings.TrimPrefix(r.URL.Path, "/debug/profiles/")
 	pr, ok := ps.Get(id)
 	if !ok {
-		s.writeError(w, http.StatusNotFound, "profile not found")
+		s.WriteError(w, http.StatusNotFound, "profile not found")
 		return
 	}
 	switch pr.State {
 	case "capturing":
-		s.writeError(w, http.StatusConflict, fmt.Sprintf("profile %s still capturing", id))
+		s.WriteError(w, http.StatusConflict, fmt.Sprintf("profile %s still capturing", id))
 		return
 	case "failed":
-		s.writeError(w, http.StatusGone, fmt.Sprintf("profile %s failed: %s", id, pr.Error))
+		s.WriteError(w, http.StatusGone, fmt.Sprintf("profile %s failed: %s", id, pr.Error))
 		return
 	}
 	body := pr.CPU
@@ -116,11 +116,11 @@ func (s *Server) handleProfileGet(w http.ResponseWriter, r *http.Request) {
 	case "heap":
 		body = pr.Heap
 		if len(body) == 0 {
-			s.writeError(w, http.StatusNotFound, "no heap snapshot for this capture")
+			s.WriteError(w, http.StatusNotFound, "no heap snapshot for this capture")
 			return
 		}
 	default:
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad kind %q (want cpu or heap)", kind))
+		s.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad kind %q (want cpu or heap)", kind))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

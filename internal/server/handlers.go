@@ -113,11 +113,12 @@ func recoverFactory(req *modelio.SolveRequest) func() (*core.Solver, error) {
 }
 
 // solveCached runs req through the prefix cache and the worker pool, keeping
-// the cache hit/miss counters and in-flight gauge.
-func (s *Server) solveCached(ctx context.Context, req *modelio.SolveRequest) (res *core.Result, hit bool, err error) {
+// the cache hit/miss counters and in-flight gauge. A lock-free prefix hit
+// also returns the cache entry that answered it (nil otherwise).
+func (s *Server) solveCached(ctx context.Context, req *modelio.SolveRequest) (res *core.Result, e *cacheEntry, hit bool, err error) {
 	key, err := req.CacheKey()
 	if err != nil {
-		return nil, false, err
+		return nil, nil, false, err
 	}
 	return s.solveWithKey(ctx, key, req)
 }
@@ -138,16 +139,16 @@ func (s *Server) solveCached(ctx context.Context, req *modelio.SolveRequest) (re
 // into one flight whose leader solves to the largest requested population,
 // and every waiter streams its own prefix off the shared trajectory —
 // bit-identical to a solo solve, counted as a "coalesced" cache hit.
-func (s *Server) solveWithKey(ctx context.Context, key string, req *modelio.SolveRequest) (res *core.Result, hit bool, err error) {
+func (s *Server) solveWithKey(ctx context.Context, key string, req *modelio.SolveRequest) (res *core.Result, e *cacheEntry, hit bool, err error) {
 	tr := telemetry.FromContext(ctx)
 	cacheSpan := tr.StartSpan("cache")
 	// Lock-free fast path: a published snapshot covering maxN answers
 	// without joining a coalescer flight.
-	if snap, ok := s.cache.peek(key, req.MaxN); ok {
+	if snap, e, ok := s.cache.peek(key, req.MaxN); ok {
 		cacheSpan.End()
 		s.metrics.cacheHits.Add(1)
 		tr.SetAttr("cache", "hit")
-		return snap, true, nil
+		return snap, e, true, nil
 	}
 	res, waited, err := s.admission.Coalesce(ctx, key, req.MaxN,
 		func(ctx context.Context, target int) (*core.Result, error) {
@@ -157,14 +158,14 @@ func (s *Server) solveWithKey(ctx context.Context, key string, req *modelio.Solv
 		})
 	cacheSpan.End() // idempotent: covers a coalesced waiter's whole wait
 	if err != nil {
-		return nil, false, err
+		return nil, nil, false, err
 	}
 	if waited {
 		// Served off another request's flight without running the solver —
 		// a hit for this caller, and the coalesced counter's unit.
 		s.metrics.cacheHits.Add(1)
 		tr.SetAttr("cache", "coalesced")
-		return res, true, nil
+		return res, nil, true, nil
 	}
 	if hit {
 		s.metrics.cacheHits.Add(1)
@@ -172,7 +173,7 @@ func (s *Server) solveWithKey(ctx context.Context, key string, req *modelio.Solv
 	} else {
 		s.metrics.cacheMisses.Add(1)
 	}
-	return res, hit, err
+	return res, nil, hit, err
 }
 
 // runCached is one pass through the cache's entry lock: build the entry's
@@ -270,11 +271,11 @@ func (s *Server) runCached(ctx context.Context, cacheSpan *telemetry.Span, key s
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req modelio.SolveRequest
 	if err := decodeBody(w, r, &req); err != nil {
-		s.writeError(w, decodeStatus(err), err.Error())
+		s.WriteError(w, decodeStatus(err), err.Error())
 		return
 	}
 	if err := req.Normalize(); err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
+		s.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	telemetry.FromContext(r.Context()).SetAttr("algorithm", req.Algorithm)
@@ -282,10 +283,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	resp, err := s.Solve(ctx, &req)
 	if err != nil {
-		s.writeError(w, statusOf(err), err.Error())
+		s.WriteError(w, statusOf(err), err.Error())
 		return
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleSweep serves POST /v1/sweep through the exported Sweep engine; see
@@ -293,21 +294,21 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req modelio.SweepRequest
 	if err := decodeBody(w, r, &req); err != nil {
-		s.writeError(w, decodeStatus(err), err.Error())
+		s.WriteError(w, decodeStatus(err), err.Error())
 		return
 	}
 	if err := req.Normalize(); err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
+		s.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
 	resp, err := s.Sweep(ctx, &req)
 	if err != nil {
-		s.writeError(w, statusOf(err), err.Error())
+		s.WriteError(w, statusOf(err), err.Error())
 		return
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.WriteJSON(w, http.StatusOK, resp)
 }
 
 // solveGroup solves one planned group and fans the shared trajectory out to
@@ -316,7 +317,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 func (s *Server) solveGroup(ctx context.Context, req *modelio.SweepRequest, keyBase *modelio.SweepKeyBase,
 	g modelio.SweepGroup, points []modelio.GridPoint, results []modelio.SweepPointResult) {
 	pointReq := req.PointRequest(g.Point)
-	res, hit, err := s.solveWithKey(ctx, keyBase.GroupKey(g.Point), pointReq)
+	res, _, hit, err := s.solveWithKey(ctx, keyBase.GroupKey(g.Point), pointReq)
 	for _, i := range g.Members {
 		if err != nil {
 			results[i] = modelio.SweepPointResult{Point: points[i], Error: err.Error()}
@@ -397,27 +398,27 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req modelio.PlanRequest
 	if err := decodeBody(w, r, &req); err != nil {
-		s.writeError(w, decodeStatus(err), err.Error())
+		s.WriteError(w, decodeStatus(err), err.Error())
 		return
 	}
 	if err := req.Normalize(); err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
+		s.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if req.Users > s.cfg.MaxN || req.Limit > s.cfg.MaxN {
-		s.writeError(w, http.StatusBadRequest,
+		s.WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("users/limit exceed the server cap %d", s.cfg.MaxN))
 		return
 	}
 	plan, err := req.Plan()
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
+		s.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
 	if err := s.pool.acquire(ctx); err != nil {
-		s.writeError(w, statusOf(err), err.Error())
+		s.WriteError(w, statusOf(err), err.Error())
 		return
 	}
 	defer s.pool.release()
@@ -432,7 +433,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	sla := req.SLA.ToSLA()
 	violations, err := plan.CheckContext(ctx, req.Users, sla)
 	if err != nil {
-		s.writeError(w, statusOf(err), err.Error())
+		s.WriteError(w, statusOf(err), err.Error())
 		return
 	}
 	resp := modelio.PlanResponse{Users: req.Users, Compliant: len(violations) == 0}
@@ -444,14 +445,14 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if req.Limit > 0 {
 		maxUsers, err := plan.MaxUsersUnderSLAContext(ctx, req.Limit, sla)
 		if err != nil {
-			s.writeError(w, statusOf(err), err.Error())
+			s.WriteError(w, statusOf(err), err.Error())
 			return
 		}
 		resp.MaxUsers = &maxUsers
 	}
-	planSpan.End() // before writeJSON so the span makes the Server-Timing header
+	planSpan.End() // before WriteJSON so the span makes the Server-Timing header
 	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	s.writeJSON(w, http.StatusOK, resp)
+	s.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleHealthz serves GET /healthz.

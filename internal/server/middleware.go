@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"runtime/debug"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -22,6 +24,33 @@ type statusRecorder struct {
 	http.ResponseWriter
 	trace *telemetry.Trace
 	code  int
+
+	// held is a complete reply handed over by writeReply (heldBuf its pooled
+	// buffer, nil for a relayed body). instrument sends it only after the
+	// request is accounted for: a client that has read the whole reply (its
+	// Content-Length says when) then already finds the request in the access
+	// log, the metrics and the flight recorder.
+	held    []byte
+	heldBuf *[]byte
+}
+
+func (r *statusRecorder) Write(p []byte) (int, error) {
+	if err := r.sendHeld(); err != nil {
+		return 0, err
+	}
+	return r.ResponseWriter.Write(p)
+}
+
+// sendHeld writes the held reply, if any, and recycles its buffer.
+func (r *statusRecorder) sendHeld() error {
+	if r.held == nil {
+		return nil
+	}
+	body, bp := r.held, r.heldBuf
+	r.held, r.heldBuf = nil, nil
+	_, err := r.ResponseWriter.Write(body)
+	putReplyBuf(bp)
+	return err
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
@@ -76,10 +105,13 @@ func (s *Server) instrument(name, method string, h http.HandlerFunc) http.Handle
 				slog.Float64("dur_ms", float64(elapsed)/float64(time.Millisecond)))
 			attrs = append(attrs, tr.Attrs()...)
 			s.cfg.Logger.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)
+			if err := rec.sendHeld(); err != nil {
+				s.cfg.Logger.Error("solverd: writing response", "id", id, "error", err)
+			}
 		}()
 		if r.Method != method {
 			rec.Header().Set("Allow", method)
-			s.writeError(rec, http.StatusMethodNotAllowed, "method "+r.Method+" not allowed")
+			s.WriteError(rec, http.StatusMethodNotAllowed, "method "+r.Method+" not allowed")
 			return
 		}
 		if selfSampledHandler(name) {
@@ -138,7 +170,7 @@ func (s *Server) WriteShed(w http.ResponseWriter, dec admission.Decision) {
 
 func writeShed(w http.ResponseWriter, dec admission.Decision, s *Server) {
 	w.Header().Set("Retry-After", strconv.Itoa(dec.RetryAfterSeconds()))
-	s.writeError(w, http.StatusTooManyRequests, fmt.Sprintf(
+	s.WriteError(w, http.StatusTooManyRequests, fmt.Sprintf(
 		"node past predicted safe concurrency (%d in flight, max safe %d); retry after %ds",
 		dec.InFlight, dec.MaxSafeN, dec.RetryAfterSeconds()))
 }
@@ -189,11 +221,71 @@ func (s *Server) Instrument(name, method string, h http.HandlerFunc) http.Handle
 	return s.instrument(name, method, h)
 }
 
-// writeJSON writes v with the given status code.
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+// replyBufs recycles reply encoding buffers. A buffer that grew past
+// maxPooledReply (a large sweep) is left to the GC rather than pinned.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledReply = 1 << 20
+
+func putReplyBuf(bp *[]byte) {
+	if bp != nil && cap(*bp) <= maxPooledReply {
+		replyBufs.Put(bp)
+	}
+}
+
+// WriteJSON is the service's one JSON reply writer, shared with the cluster
+// gateway. It encodes v into a pooled buffer before writing anything, so a
+// value that fails to encode (a NaN or infinite float) becomes a 500 JSON
+// error rather than a 200 with an empty body, and the reply goes out with a
+// Content-Length in a single write. Values with an AppendJSON method
+// (modelio.SolveResponse) encode through it; anything else through
+// encoding/json. Either way the body is json.Encoder's bytes.
+func (s *Server) WriteJSON(w http.ResponseWriter, code int, v any) {
+	bp := replyBufs.Get().(*[]byte)
+	b, err := appendJSON((*bp)[:0], v)
+	if err != nil {
+		s.cfg.Logger.Error("solverd: encoding response", "error", err)
+		code = http.StatusInternalServerError
+		b, _ = appendJSON(b[:0], errorBody{Error: "encoding response: " + err.Error()})
+	}
+	*bp = b
+	s.writeReply(w, code, "application/json", b, bp)
+}
+
+// appendJSON appends v's json.Encoder encoding to b.
+func appendJSON(b []byte, v any) ([]byte, error) {
+	if a, ok := v.(interface{ AppendJSON([]byte) ([]byte, error) }); ok {
+		return a.AppendJSON(b)
+	}
+	buf := bytes.NewBuffer(b)
+	err := json.NewEncoder(buf).Encode(v)
+	return buf.Bytes(), err
+}
+
+// WriteBody writes an already encoded reply with the given status code and
+// Content-Type (left unset when empty) — relayed peer answers go out this
+// way.
+func (s *Server) WriteBody(w http.ResponseWriter, code int, contentType string, body []byte) {
+	s.writeReply(w, code, contentType, body, nil)
+}
+
+// writeReply sends one complete reply with its Content-Length. Behind
+// instrument the body is held and written once the request is accounted for;
+// bp, when set, is body's pooled buffer, recycled after the write.
+func (s *Server) writeReply(w http.ResponseWriter, code int, contentType string, body []byte, bp *[]byte) {
+	h := w.Header()
+	if contentType != "" {
+		h.Set("Content-Type", contentType)
+	}
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	if rec, ok := w.(*statusRecorder); ok && rec.held == nil {
+		rec.held, rec.heldBuf = body, bp
+		return
+	}
+	_, err := w.Write(body)
+	putReplyBuf(bp)
+	if err != nil {
 		s.cfg.Logger.Error("solverd: writing response", "error", err)
 	}
 }
@@ -203,7 +295,7 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// writeError writes a JSON error response.
-func (s *Server) writeError(w http.ResponseWriter, code int, msg string) {
-	s.writeJSON(w, code, errorBody{Error: msg})
+// WriteError writes a JSON error response.
+func (s *Server) WriteError(w http.ResponseWriter, code int, msg string) {
+	s.WriteJSON(w, code, errorBody{Error: msg})
 }

@@ -83,5 +83,5 @@ func (s *Server) SelfReport() modelio.SelfResponse {
 // observation totals, never an error: the self-model warming up is a normal
 // state, not a failure.
 func (s *Server) handleSelf(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, s.SelfReport())
+	s.WriteJSON(w, http.StatusOK, s.SelfReport())
 }

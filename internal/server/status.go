@@ -153,5 +153,5 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		ps := s.cfg.Profiles.Stats()
 		resp.Profiles = &ps
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	s.WriteJSON(w, http.StatusOK, resp)
 }

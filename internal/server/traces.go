@@ -30,10 +30,10 @@ type TraceResponse struct {
 func (s *Server) handleTraceIndex(w http.ResponseWriter, _ *http.Request) {
 	rec := s.cfg.Recorder
 	if rec == nil {
-		s.writeError(w, http.StatusNotFound, "flight recorder disabled")
+		s.WriteError(w, http.StatusNotFound, "flight recorder disabled")
 		return
 	}
-	s.writeJSON(w, http.StatusOK, TraceIndexResponse{
+	s.WriteJSON(w, http.StatusOK, TraceIndexResponse{
 		Node:   rec.Node(),
 		Stats:  rec.Stats(),
 		Traces: rec.Index(),
@@ -45,18 +45,18 @@ func (s *Server) handleTraceIndex(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	rec := s.cfg.Recorder
 	if rec == nil {
-		s.writeError(w, http.StatusNotFound, "flight recorder disabled")
+		s.WriteError(w, http.StatusNotFound, "flight recorder disabled")
 		return
 	}
 	id := strings.TrimPrefix(r.URL.Path, "/debug/traces/")
 	if !telemetry.ValidID(id) {
-		s.writeError(w, http.StatusBadRequest, "bad trace id")
+		s.WriteError(w, http.StatusBadRequest, "bad trace id")
 		return
 	}
 	frags := rec.Get(id)
 	if len(frags) == 0 {
-		s.writeError(w, http.StatusNotFound, "trace not found")
+		s.WriteError(w, http.StatusNotFound, "trace not found")
 		return
 	}
-	s.writeJSON(w, http.StatusOK, TraceResponse{ID: id, Node: rec.Node(), Fragments: frags})
+	s.WriteJSON(w, http.StatusOK, TraceResponse{ID: id, Node: rec.Node(), Fragments: frags})
 }
