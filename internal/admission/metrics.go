@@ -1,8 +1,9 @@
 package admission
 
 import (
-	"fmt"
 	"io"
+
+	"repro/internal/promtext"
 )
 
 // WriteMetrics renders the admission subsystem in Prometheus text format.
@@ -13,33 +14,20 @@ import (
 // marked.
 func (c *Controller) WriteMetrics(w io.Writer) error {
 	st := c.Stats()
-	fmt.Fprintln(w, "# HELP solverd_admission_mode Admission gate mode (one series per mode, the active one set to 1).")
-	fmt.Fprintln(w, "# TYPE solverd_admission_mode gauge")
+	p := promtext.NewWriter(w)
+	p.Gauge("solverd_admission_mode", "Admission gate mode (one series per mode, the active one set to 1).")
 	for _, m := range Modes {
 		v := 0
 		if m == st.Mode {
 			v = 1
 		}
-		fmt.Fprintf(w, "solverd_admission_mode{mode=%q} %d\n", m.String(), v)
+		p.Int(v, "mode", m.String())
 	}
-	fmt.Fprintln(w, "# HELP solverd_admission_admitted_total Requests the admission gate let through.")
-	fmt.Fprintln(w, "# TYPE solverd_admission_admitted_total counter")
-	fmt.Fprintf(w, "solverd_admission_admitted_total %d\n", st.Admitted)
-	fmt.Fprintln(w, "# HELP solverd_admission_over_capacity_total Requests that arrived past the predicted safe concurrency (counted in observe mode too).")
-	fmt.Fprintln(w, "# TYPE solverd_admission_over_capacity_total counter")
-	fmt.Fprintf(w, "solverd_admission_over_capacity_total %d\n", st.OverCapacity)
-	fmt.Fprintln(w, "# HELP solverd_admission_shed_total Requests refused with 429 + Retry-After (enforce mode).")
-	fmt.Fprintln(w, "# TYPE solverd_admission_shed_total counter")
-	fmt.Fprintf(w, "solverd_admission_shed_total %d\n", st.Shed)
-	fmt.Fprintln(w, "# HELP solverd_admission_redirected_total Refused requests resolved by forwarding to a ring peer with predicted headroom.")
-	fmt.Fprintln(w, "# TYPE solverd_admission_redirected_total counter")
-	fmt.Fprintf(w, "solverd_admission_redirected_total %d\n", st.Redirected)
-	fmt.Fprintln(w, "# HELP solverd_admission_coalesced_total Requests served off another request's coalesced solve flight.")
-	fmt.Fprintln(w, "# TYPE solverd_admission_coalesced_total counter")
-	fmt.Fprintf(w, "solverd_admission_coalesced_total %d\n", st.Coalesced)
-	fmt.Fprintln(w, "# HELP solverd_admission_coalesce_waiters Requests currently waiting on a coalesced solve flight.")
-	fmt.Fprintln(w, "# TYPE solverd_admission_coalesce_waiters gauge")
-	fmt.Fprintf(w, "solverd_admission_coalesce_waiters %d\n", st.CoalesceWaiters)
-	_, err := fmt.Fprintln(w)
-	return err
+	p.Counter("solverd_admission_admitted_total", "Requests the admission gate let through.").Uint(st.Admitted)
+	p.Counter("solverd_admission_over_capacity_total", "Requests that arrived past the predicted safe concurrency (counted in observe mode too).").Uint(st.OverCapacity)
+	p.Counter("solverd_admission_shed_total", "Requests refused with 429 + Retry-After (enforce mode).").Uint(st.Shed)
+	p.Counter("solverd_admission_redirected_total", "Refused requests resolved by forwarding to a ring peer with predicted headroom.").Uint(st.Redirected)
+	p.Counter("solverd_admission_coalesced_total", "Requests served off another request's coalesced solve flight.").Uint(st.Coalesced)
+	p.Gauge("solverd_admission_coalesce_waiters", "Requests currently waiting on a coalesced solve flight.").Int(st.CoalesceWaiters)
+	return p.Err()
 }

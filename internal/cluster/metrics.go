@@ -1,13 +1,12 @@
 package cluster
 
 import (
-	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/report"
+	"repro/internal/promtext"
 )
 
 // forwardOutcomes are the label values of the forward-duration histogram, in
@@ -41,7 +40,7 @@ type clusterMetrics struct {
 	// and backoff included — per outcome label, lazily built on first
 	// observation.
 	fwdMu  sync.Mutex
-	fwdDur map[string]*report.FixedHistogram
+	fwdDur map[string]*promtext.Histogram
 }
 
 // observeForward records one completed forward ladder under its outcome.
@@ -52,71 +51,57 @@ func (m *clusterMetrics) observeForward(outcome string, seconds float64, traceID
 	m.fwdMu.Lock()
 	defer m.fwdMu.Unlock()
 	if m.fwdDur == nil {
-		m.fwdDur = make(map[string]*report.FixedHistogram, len(forwardOutcomes))
+		m.fwdDur = make(map[string]*promtext.Histogram, len(forwardOutcomes))
 	}
 	h := m.fwdDur[outcome]
 	if h == nil {
-		h, _ = report.NewFixedHistogram(report.DefaultLatencyBounds()...)
+		h, _ = promtext.NewHistogram(promtext.LatencyBounds()...)
 		m.fwdDur[outcome] = h
 	}
 	h.ObserveWithExemplar(seconds, traceID, float64(time.Now().UnixMilli())/1000)
 }
 
-// write renders the cluster section. The gateway passes the current ring and
-// per-peer state so gauges reflect the live topology.
+// writeMetrics renders the cluster section. The gateway passes the current
+// ring and per-peer state so gauges reflect the live topology.
 func (g *Gateway) writeMetrics(w io.Writer) error {
-	ring := g.members.Ring()
-	fmt.Fprintln(w, "# HELP solverd_cluster_ring_nodes Members currently in the routing ring.")
-	fmt.Fprintln(w, "# TYPE solverd_cluster_ring_nodes gauge")
-	fmt.Fprintf(w, "solverd_cluster_ring_nodes %d\n", ring.Len())
+	p := promtext.NewWriter(w)
+	p.Gauge("solverd_cluster_ring_nodes", "Members currently in the routing ring.").Int(g.members.Ring().Len())
 
-	fmt.Fprintln(w, "# HELP solverd_cluster_peer_up Peer liveness from /healthz probes (1 up, 0 down).")
-	fmt.Fprintln(w, "# TYPE solverd_cluster_peer_up gauge")
-	fmt.Fprintln(w, "# HELP solverd_cluster_breaker_open Peer circuit breaker state (1 open or half-open, 0 closed).")
-	fmt.Fprintln(w, "# TYPE solverd_cluster_breaker_open gauge")
-	fmt.Fprintln(w, "# HELP solverd_cluster_breaker_opens_total Transitions of a peer's circuit breaker into the open state.")
-	fmt.Fprintln(w, "# TYPE solverd_cluster_breaker_opens_total counter")
-	for _, p := range g.remotePeers {
+	// Each per-peer family is one contiguous group, so the peers are walked
+	// once per family.
+	p.Gauge("solverd_cluster_peer_up", "Peer liveness from /healthz probes (1 up, 0 down).")
+	for _, peer := range g.remotePeers {
 		up := 0
-		if g.members.peerUp(p) {
+		if g.members.peerUp(peer) {
 			up = 1
 		}
-		fmt.Fprintf(w, "solverd_cluster_peer_up{peer=%q} %d\n", p, up)
-		state, opens := g.peer(p).breaker.snapshot()
+		p.Int(up, "peer", peer)
+	}
+	p.Gauge("solverd_cluster_breaker_open", "Peer circuit breaker state (1 open or half-open, 0 closed).")
+	for _, peer := range g.remotePeers {
 		open := 0
-		if state != breakerClosed {
+		if state, _ := g.peer(peer).breaker.snapshot(); state != breakerClosed {
 			open = 1
 		}
-		fmt.Fprintf(w, "solverd_cluster_breaker_open{peer=%q} %d\n", p, open)
-		fmt.Fprintf(w, "solverd_cluster_breaker_opens_total{peer=%q} %d\n", p, opens)
+		p.Int(open, "peer", peer)
+	}
+	p.Counter("solverd_cluster_breaker_opens_total", "Transitions of a peer's circuit breaker into the open state.")
+	for _, peer := range g.remotePeers {
+		_, opens := g.peer(peer).breaker.snapshot()
+		p.Uint(opens, "peer", peer)
 	}
 
 	m := &g.metrics
-	fmt.Fprintln(w, "# HELP solverd_cluster_forwards_total Requests forwarded to a peer (hedges included).")
-	fmt.Fprintln(w, "# TYPE solverd_cluster_forwards_total counter")
-	fmt.Fprintf(w, "solverd_cluster_forwards_total %d\n", m.forwards.Load())
-	fmt.Fprintln(w, "# HELP solverd_cluster_forward_failures_total Forward attempts that errored or returned a 5xx.")
-	fmt.Fprintln(w, "# TYPE solverd_cluster_forward_failures_total counter")
-	fmt.Fprintf(w, "solverd_cluster_forward_failures_total %d\n", m.forwardFailures.Load())
-	fmt.Fprintln(w, "# HELP solverd_cluster_hedges_total Backup requests launched after the hedge delay.")
-	fmt.Fprintln(w, "# TYPE solverd_cluster_hedges_total counter")
-	fmt.Fprintf(w, "solverd_cluster_hedges_total %d\n", m.hedges.Load())
-	fmt.Fprintln(w, "# HELP solverd_cluster_local_fallbacks_total Requests served locally after every remote candidate failed.")
-	fmt.Fprintln(w, "# TYPE solverd_cluster_local_fallbacks_total counter")
-	fmt.Fprintf(w, "solverd_cluster_local_fallbacks_total %d\n", m.localFallbacks.Load())
-	fmt.Fprintln(w, "# HELP solverd_cluster_redirects_total Admission-refused requests shipped to a peer with advertised headroom.")
-	fmt.Fprintln(w, "# TYPE solverd_cluster_redirects_total counter")
-	fmt.Fprintf(w, "solverd_cluster_redirects_total %d\n", m.redirects.Load())
-	fmt.Fprintln(w, "# HELP solverd_cluster_peer_fill_hits_total Cold solves warm-started from a peer's exported trajectory.")
-	fmt.Fprintln(w, "# TYPE solverd_cluster_peer_fill_hits_total counter")
-	fmt.Fprintf(w, "solverd_cluster_peer_fill_hits_total %d\n", m.fillHits.Load())
-	fmt.Fprintln(w, "# HELP solverd_cluster_peer_fill_misses_total Peer fill lookups that found no cached trajectory.")
-	fmt.Fprintln(w, "# TYPE solverd_cluster_peer_fill_misses_total counter")
-	fmt.Fprintf(w, "solverd_cluster_peer_fill_misses_total %d\n", m.fillMisses.Load())
+	p.Counter("solverd_cluster_forwards_total", "Requests forwarded to a peer (hedges included).").Uint(m.forwards.Load())
+	p.Counter("solverd_cluster_forward_failures_total", "Forward attempts that errored or returned a 5xx.").Uint(m.forwardFailures.Load())
+	p.Counter("solverd_cluster_hedges_total", "Backup requests launched after the hedge delay.").Uint(m.hedges.Load())
+	p.Counter("solverd_cluster_local_fallbacks_total", "Requests served locally after every remote candidate failed.").Uint(m.localFallbacks.Load())
+	p.Counter("solverd_cluster_redirects_total", "Admission-refused requests shipped to a peer with advertised headroom.").Uint(m.redirects.Load())
+	p.Counter("solverd_cluster_peer_fill_hits_total", "Cold solves warm-started from a peer's exported trajectory.").Uint(m.fillHits.Load())
+	p.Counter("solverd_cluster_peer_fill_misses_total", "Peer fill lookups that found no cached trajectory.").Uint(m.fillMisses.Load())
 
-	fmt.Fprintln(w, "# HELP solverd_cluster_forward_duration_seconds End-to-end forward ladder duration (hedges, retries and backoff included), by outcome.")
-	fmt.Fprintln(w, "# TYPE solverd_cluster_forward_duration_seconds histogram")
-	empty, _ := report.NewFixedHistogram(report.DefaultLatencyBounds()...)
+	p.Histogram("solverd_cluster_forward_duration_seconds", "End-to-end forward ladder duration (hedges, retries and backoff included), by outcome.")
+	empty, _ := promtext.NewHistogram(promtext.LatencyBounds()...)
 	m.fwdMu.Lock()
 	defer m.fwdMu.Unlock()
 	for _, o := range forwardOutcomes {
@@ -124,9 +109,7 @@ func (g *Gateway) writeMetrics(w io.Writer) error {
 		if h == nil {
 			h = empty // every outcome label is always exposed, zeroed until seen
 		}
-		if err := h.WritePrometheusExemplars(w, "solverd_cluster_forward_duration_seconds", fmt.Sprintf("outcome=%q", o)); err != nil {
-			return err
-		}
+		p.Buckets(h, "outcome", o)
 	}
-	return nil
+	return p.Err()
 }

@@ -10,7 +10,8 @@ import (
 // TestClusterPrometheusExpositionLint drives forwarded traffic through a
 // cluster entry node and lints its full /metrics exposition — the cluster
 // and trace-store families ride on the same scrape as the server's own, so
-// they go through the same strict rules.
+// they go through the same strict rules, including one contiguous group per
+// family.
 func TestClusterPrometheusExpositionLint(t *testing.T) {
 	nodes := startCluster(t, 3, nil)
 	entry := nodes[0]
@@ -19,12 +20,13 @@ func TestClusterPrometheusExpositionLint(t *testing.T) {
 	// locally-owned solve would be ideal, but a forwarded one alone touches
 	// every cluster family.
 	req, _ := remoteOwnedRequest(t, nodes, entry)
-	resp, body := postJSON(t, "http://"+entry.addr+"/v1/solve", req, nil)
+	resp, solved := postJSON(t, "http://"+entry.addr+"/v1/solve", req, nil)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("solve status %d: %s", resp.StatusCode, body)
+		t.Fatalf("solve status %d: %s", resp.StatusCode, solved)
 	}
 
-	families := promtest.ParseExposition(t, string(getBody(t, "http://"+entry.addr+"/metrics")))
+	body := string(getBody(t, "http://"+entry.addr+"/metrics"))
+	families := promtest.ParseExposition(t, body)
 	promtest.RequireFamilies(t, families,
 		"solverd_cluster_ring_nodes", "solverd_cluster_peer_up",
 		"solverd_cluster_breaker_open", "solverd_cluster_breaker_opens_total",
@@ -50,6 +52,10 @@ func TestClusterPrometheusExpositionLint(t *testing.T) {
 		"solverd_profile_capture_last_unix_seconds",
 	)
 	promtest.LintFamilies(t, families)
+	// The entry node has two remote peers, so the per-peer families are
+	// multi-series groups; the schema (family order, TYPE, HELP, label names)
+	// is pinned byte for byte.
+	promtest.RequireSchema(t, body, "testdata/metrics_schema.golden")
 
 	// The forward-duration histogram exposes every outcome label, observed or
 	// not, and the forwarded solve landed exactly one "ok" observation.

@@ -1,8 +1,9 @@
 package estimate
 
 import (
-	"fmt"
 	"io"
+
+	"repro/internal/promtext"
 )
 
 // WriteMetrics renders the estimator's ingest and fit health in Prometheus
@@ -16,50 +17,40 @@ func (e *Estimator) WriteMetrics(w io.Writer) error {
 	if e != nil {
 		stations, _ = e.Health()
 	}
-	fmt.Fprintln(w, "# HELP solverd_estimate_samples_total Samples accepted by the demand estimator per station.")
-	fmt.Fprintln(w, "# TYPE solverd_estimate_samples_total counter")
+	p := promtext.NewWriter(w)
+	p.Counter("solverd_estimate_samples_total", "Samples accepted by the demand estimator per station.")
 	for _, st := range stations {
-		fmt.Fprintf(w, "solverd_estimate_samples_total{station=%q} %d\n", st.Name, st.Accepted)
+		p.Uint(st.Accepted, "station", st.Name)
 	}
-	fmt.Fprintln(w, "# HELP solverd_estimate_samples_rejected_total Samples rejected by the outlier filter per station.")
-	fmt.Fprintln(w, "# TYPE solverd_estimate_samples_rejected_total counter")
+	p.Counter("solverd_estimate_samples_rejected_total", "Samples rejected by the outlier filter per station.")
 	for _, st := range stations {
-		fmt.Fprintf(w, "solverd_estimate_samples_rejected_total{station=%q} %d\n", st.Name, st.Rejected)
+		p.Uint(st.Rejected, "station", st.Name)
 	}
-	fmt.Fprintln(w, "# HELP solverd_estimate_cell_resets_total Regime-shift cell resets per station.")
-	fmt.Fprintln(w, "# TYPE solverd_estimate_cell_resets_total counter")
+	p.Counter("solverd_estimate_cell_resets_total", "Regime-shift cell resets per station.")
 	for _, st := range stations {
-		fmt.Fprintf(w, "solverd_estimate_cell_resets_total{station=%q} %d\n", st.Name, st.Resets)
+		p.Uint(st.Resets, "station", st.Name)
 	}
-	fmt.Fprintln(w, "# HELP solverd_estimate_cells Distinct concurrency cells currently retained per station.")
-	fmt.Fprintln(w, "# TYPE solverd_estimate_cells gauge")
+	p.Gauge("solverd_estimate_cells", "Distinct concurrency cells currently retained per station.")
 	for _, st := range stations {
-		fmt.Fprintf(w, "solverd_estimate_cells{station=%q} %d\n", st.Name, st.Cells)
+		p.Int(st.Cells, "station", st.Name)
 	}
-	fmt.Fprintln(w, "# HELP solverd_estimate_fit_ready_cells Cells with enough accepted samples to enter a fit, per station.")
-	fmt.Fprintln(w, "# TYPE solverd_estimate_fit_ready_cells gauge")
+	p.Gauge("solverd_estimate_fit_ready_cells", "Cells with enough accepted samples to enter a fit, per station.")
 	for _, st := range stations {
-		fmt.Fprintf(w, "solverd_estimate_fit_ready_cells{station=%q} %d\n", st.Name, st.FitReady)
+		p.Int(st.FitReady, "station", st.Name)
 	}
-	fmt.Fprintln(w, "# HELP solverd_estimate_fit_residual RMS relative error of the published demand curve against the smoothed cell means, per station.")
-	fmt.Fprintln(w, "# TYPE solverd_estimate_fit_residual gauge")
+	p.Gauge("solverd_estimate_fit_residual", "RMS relative error of the published demand curve against the smoothed cell means, per station.")
 	var version, fits uint64
 	if e != nil {
 		if snap := e.Snapshot(); snap != nil {
 			for _, st := range snap.Stations {
-				fmt.Fprintf(w, "solverd_estimate_fit_residual{station=%q} %g\n", st.Name, st.Residual)
+				p.Float(st.Residual, "station", st.Name)
 			}
 		}
 		version, fits = e.Version(), e.Fits()
 	}
-	fmt.Fprintln(w, "# HELP solverd_estimate_snapshot_version Version of the published demand-curve snapshot (0 before the first fit).")
-	fmt.Fprintln(w, "# TYPE solverd_estimate_snapshot_version gauge")
-	fmt.Fprintf(w, "solverd_estimate_snapshot_version %d\n", version)
-	fmt.Fprintln(w, "# HELP solverd_estimate_fits_total Successful demand-curve fits.")
-	fmt.Fprintln(w, "# TYPE solverd_estimate_fits_total counter")
-	fmt.Fprintf(w, "solverd_estimate_fits_total %d\n", fits)
-	_, err := fmt.Fprintln(w)
-	return err
+	p.Gauge("solverd_estimate_snapshot_version", "Version of the published demand-curve snapshot (0 before the first fit).").Uint(version)
+	p.Counter("solverd_estimate_fits_total", "Successful demand-curve fits.").Uint(fits)
+	return p.Err()
 }
 
 // WriteMetrics renders the controller's re-estimation trigger counter; every
@@ -69,11 +60,10 @@ func (c *Controller) WriteMetrics(w io.Writer) error {
 	if c != nil {
 		triggers = c.Triggers()
 	}
-	fmt.Fprintln(w, "# HELP solverd_estimate_reestimate_triggers_total Re-estimations triggered, by reason.")
-	fmt.Fprintln(w, "# TYPE solverd_estimate_reestimate_triggers_total counter")
+	p := promtext.NewWriter(w)
+	p.Counter("solverd_estimate_reestimate_triggers_total", "Re-estimations triggered, by reason.")
 	for _, r := range TriggerReasons {
-		fmt.Fprintf(w, "solverd_estimate_reestimate_triggers_total{reason=%q} %d\n", r, triggers[r])
+		p.Uint(triggers[r], "reason", r)
 	}
-	_, err := fmt.Fprintln(w)
-	return err
+	return p.Err()
 }

@@ -15,12 +15,13 @@
 package journal
 
 import (
-	"fmt"
 	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/promtext"
 )
 
 // The closed set of event types. Metrics expose every type from the first
@@ -275,20 +276,18 @@ func (j *Journal) WriteMetrics(w io.Writer) error {
 	for _, ts := range s.Types {
 		byType[ts.Type] = ts
 	}
-	fmt.Fprintln(w, "# HELP solverd_journal_events_stored Journal events currently retained, by type.")
-	fmt.Fprintln(w, "# TYPE solverd_journal_events_stored gauge")
+	p := promtext.NewWriter(w)
+	p.Gauge("solverd_journal_events_stored", "Journal events currently retained, by type.")
 	for _, typ := range Types {
-		fmt.Fprintf(w, "solverd_journal_events_stored{type=%q} %d\n", typ, byType[typ].Stored)
+		p.Int(byType[typ].Stored, "type", typ)
 	}
-	fmt.Fprintln(w, "# HELP solverd_journal_events_total Journal events appended since start, by type.")
-	fmt.Fprintln(w, "# TYPE solverd_journal_events_total counter")
+	p.Counter("solverd_journal_events_total", "Journal events appended since start, by type.")
 	for _, typ := range Types {
-		fmt.Fprintf(w, "solverd_journal_events_total{type=%q} %d\n", typ, byType[typ].Appended)
+		p.Uint(byType[typ].Appended, "type", typ)
 	}
-	fmt.Fprintln(w, "# HELP solverd_journal_events_evicted_total Journal events evicted oldest-first to stay within the per-type cap, by type.")
-	fmt.Fprintln(w, "# TYPE solverd_journal_events_evicted_total counter")
+	p.Counter("solverd_journal_events_evicted_total", "Journal events evicted oldest-first to stay within the per-type cap, by type.")
 	for _, typ := range Types {
-		fmt.Fprintf(w, "solverd_journal_events_evicted_total{type=%q} %d\n", typ, byType[typ].Evicted)
+		p.Uint(byType[typ].Evicted, "type", typ)
 	}
-	return nil
+	return p.Err()
 }

@@ -8,6 +8,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/promtext"
 )
 
 // ProfileConfig tunes a ProfileStore. The zero value is usable.
@@ -263,14 +265,10 @@ func (p *ProfileStore) Stats() ProfileStats {
 // store writes the full zeroed schema.
 func (p *ProfileStore) WriteMetrics(w io.Writer) error {
 	s := p.Stats()
-	fmt.Fprintln(w, "# HELP solverd_profile_capture_total Anomaly-triggered pprof captures completed.")
-	fmt.Fprintln(w, "# TYPE solverd_profile_capture_total counter")
-	fmt.Fprintf(w, "solverd_profile_capture_total %d\n", s.Captures)
-	fmt.Fprintln(w, "# HELP solverd_profile_capture_failures_total Anomaly-triggered pprof captures that failed.")
-	fmt.Fprintln(w, "# TYPE solverd_profile_capture_failures_total counter")
-	fmt.Fprintf(w, "solverd_profile_capture_failures_total %d\n", s.Failures)
-	fmt.Fprintln(w, "# HELP solverd_profile_capture_skipped_total Capture requests skipped, by reason.")
-	fmt.Fprintln(w, "# TYPE solverd_profile_capture_skipped_total counter")
+	pw := promtext.NewWriter(w)
+	pw.Counter("solverd_profile_capture_total", "Anomaly-triggered pprof captures completed.").Uint(s.Captures)
+	pw.Counter("solverd_profile_capture_failures_total", "Anomaly-triggered pprof captures that failed.").Uint(s.Failures)
+	pw.Counter("solverd_profile_capture_skipped_total", "Capture requests skipped, by reason.")
 	reasons := append([]string(nil), ProfileSkipReasons...)
 	for r := range s.Skipped {
 		if !containsString(reasons, r) {
@@ -279,15 +277,11 @@ func (p *ProfileStore) WriteMetrics(w io.Writer) error {
 	}
 	sort.Strings(reasons)
 	for _, r := range reasons {
-		fmt.Fprintf(w, "solverd_profile_capture_skipped_total{reason=%q} %d\n", r, s.Skipped[r])
+		pw.Uint(s.Skipped[r], "reason", r)
 	}
-	fmt.Fprintln(w, "# HELP solverd_profile_capture_stored Captured profiles currently retained.")
-	fmt.Fprintln(w, "# TYPE solverd_profile_capture_stored gauge")
-	fmt.Fprintf(w, "solverd_profile_capture_stored %d\n", s.Stored)
-	fmt.Fprintln(w, "# HELP solverd_profile_capture_last_unix_seconds Wall time of the last completed capture (0 before any).")
-	fmt.Fprintln(w, "# TYPE solverd_profile_capture_last_unix_seconds gauge")
-	fmt.Fprintf(w, "solverd_profile_capture_last_unix_seconds %g\n", float64(s.LastCaptureUnixMS)/1000)
-	return nil
+	pw.Gauge("solverd_profile_capture_stored", "Captured profiles currently retained.").Int(s.Stored)
+	pw.Gauge("solverd_profile_capture_last_unix_seconds", "Wall time of the last completed capture (0 before any).").Float(float64(s.LastCaptureUnixMS) / 1000)
+	return pw.Err()
 }
 
 func containsString(ss []string, s string) bool {

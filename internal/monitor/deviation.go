@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/obs"
+	"repro/internal/promtext"
 	"repro/internal/telemetry"
 )
 
@@ -169,32 +170,29 @@ func (d *DeviationTracker) Violations() []DeviationEvent {
 func (d *DeviationTracker) WriteMetrics(w io.Writer) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	fmt.Fprintln(w, "# HELP solverd_prediction_deviation_ratio Latest |predicted-measured|/measured per validation metric.")
-	fmt.Fprintln(w, "# TYPE solverd_prediction_deviation_ratio gauge")
-	for _, m := range []string{"throughput", "cycle_time"} {
-		fmt.Fprintf(w, "solverd_prediction_deviation_ratio{metric=%q} %g\n", m, d.latest[m])
+	metrics := []string{"throughput", "cycle_time"}
+	p := promtext.NewWriter(w)
+	p.Gauge("solverd_prediction_deviation_ratio", "Latest |predicted-measured|/measured per validation metric.")
+	for _, m := range metrics {
+		p.Float(d.latest[m], "metric", m)
 	}
-	fmt.Fprintln(w, "# HELP solverd_prediction_deviation_ratio_mean Mean deviation ratio over all observations per metric.")
-	fmt.Fprintln(w, "# TYPE solverd_prediction_deviation_ratio_mean gauge")
-	for _, m := range []string{"throughput", "cycle_time"} {
+	p.Gauge("solverd_prediction_deviation_ratio_mean", "Mean deviation ratio over all observations per metric.")
+	for _, m := range metrics {
 		mean := 0.0
 		if d.n[m] > 0 {
 			mean = d.sum[m] / float64(d.n[m])
 		}
-		fmt.Fprintf(w, "solverd_prediction_deviation_ratio_mean{metric=%q} %g\n", m, mean)
+		p.Float(mean, "metric", m)
 	}
-	fmt.Fprintln(w, "# HELP solverd_prediction_deviation_exceeded_total Observations that breached the paper's deviation bounds.")
-	fmt.Fprintln(w, "# TYPE solverd_prediction_deviation_exceeded_total counter")
-	for _, m := range []string{"throughput", "cycle_time"} {
-		fmt.Fprintf(w, "solverd_prediction_deviation_exceeded_total{metric=%q} %d\n", m, d.exceeded[m])
+	p.Counter("solverd_prediction_deviation_exceeded_total", "Observations that breached the paper's deviation bounds.")
+	for _, m := range metrics {
+		p.Int(d.exceeded[m], "metric", m)
 	}
 	// The alertable breach counter: one series per validation bound, both
 	// always exposed so alert rules never see a vanishing series.
-	fmt.Fprintln(w, "# HELP solverd_monitor_deviation_breaches_total Deviation-bound breaches by the bound breached (throughput: 3%, cycle_time: 9%).")
-	fmt.Fprintln(w, "# TYPE solverd_monitor_deviation_breaches_total counter")
-	for _, m := range []string{"throughput", "cycle_time"} {
-		fmt.Fprintf(w, "solverd_monitor_deviation_breaches_total{bound=%q} %d\n", m, d.exceeded[m])
+	p.Counter("solverd_monitor_deviation_breaches_total", "Deviation-bound breaches by the bound breached (throughput: 3%, cycle_time: 9%).")
+	for _, m := range metrics {
+		p.Int(d.exceeded[m], "bound", m)
 	}
-	_, err := fmt.Fprintln(w)
-	return err
+	return p.Err()
 }

@@ -1,33 +1,25 @@
 package obs
 
 import (
-	"fmt"
 	"io"
+
+	"repro/internal/promtext"
 )
 
 // WriteMetrics renders the recorder's occupancy series in the Prometheus
-// text exposition format. The server appends it to /metrics output.
-func (r *Recorder) WriteMetrics(w io.Writer) {
+// text exposition format. The server appends it to /metrics output. A nil
+// recorder writes nothing.
+func (r *Recorder) WriteMetrics(w io.Writer) error {
 	if r == nil {
-		return
+		return nil
 	}
 	s := r.Stats()
-	fmt.Fprintln(w, "# HELP solverd_trace_store_traces Traces currently retained by the flight recorder.")
-	fmt.Fprintln(w, "# TYPE solverd_trace_store_traces gauge")
-	fmt.Fprintf(w, "solverd_trace_store_traces %d\n", s.Traces)
-	fmt.Fprintln(w, "# HELP solverd_trace_store_spans Spans currently retained by the flight recorder.")
-	fmt.Fprintln(w, "# TYPE solverd_trace_store_spans gauge")
-	fmt.Fprintf(w, "solverd_trace_store_spans %d\n", s.Spans)
-	fmt.Fprintln(w, "# HELP solverd_trace_store_bytes Approximate bytes retained by the flight recorder.")
-	fmt.Fprintln(w, "# TYPE solverd_trace_store_bytes gauge")
-	fmt.Fprintf(w, "solverd_trace_store_bytes %d\n", s.Bytes)
-	fmt.Fprintln(w, "# HELP solverd_trace_store_evictions_total Traces evicted to stay under the recorder's caps.")
-	fmt.Fprintln(w, "# TYPE solverd_trace_store_evictions_total counter")
-	fmt.Fprintf(w, "solverd_trace_store_evictions_total %d\n", s.Evictions)
-	fmt.Fprintln(w, "# HELP solverd_trace_store_kept_total Completed requests retained by tail-sampling.")
-	fmt.Fprintln(w, "# TYPE solverd_trace_store_kept_total counter")
-	fmt.Fprintf(w, "solverd_trace_store_kept_total %d\n", s.Kept)
-	fmt.Fprintln(w, "# HELP solverd_trace_store_dropped_total Completed requests dropped by tail-sampling.")
-	fmt.Fprintln(w, "# TYPE solverd_trace_store_dropped_total counter")
-	fmt.Fprintf(w, "solverd_trace_store_dropped_total %d\n", s.Dropped)
+	p := promtext.NewWriter(w)
+	p.Gauge("solverd_trace_store_traces", "Traces currently retained by the flight recorder.").Int(s.Traces)
+	p.Gauge("solverd_trace_store_spans", "Spans currently retained by the flight recorder.").Int(s.Spans)
+	p.Gauge("solverd_trace_store_bytes", "Approximate bytes retained by the flight recorder.").Int(s.Bytes)
+	p.Counter("solverd_trace_store_evictions_total", "Traces evicted to stay under the recorder's caps.").Uint(s.Evictions)
+	p.Counter("solverd_trace_store_kept_total", "Completed requests retained by tail-sampling.").Uint(s.Kept)
+	p.Counter("solverd_trace_store_dropped_total", "Completed requests dropped by tail-sampling.").Uint(s.Dropped)
+	return p.Err()
 }

@@ -8,10 +8,13 @@ package promtest
 import (
 	"fmt"
 	"math"
+	"os"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // Sample is one parsed exposition line: name{labels} value, optionally
@@ -46,24 +49,44 @@ type Family struct {
 
 // ParseExposition parses a text exposition into its families. Histogram
 // _bucket/_sum/_count series are folded into their base family. Any line the
-// strict grammar rejects fails the test.
+// strict grammar rejects fails the test, as does a family whose lines are not
+// one contiguous group or whose HELP or TYPE line repeats.
 func ParseExposition(t *testing.T, body string) map[string]*Family {
 	t.Helper()
-	families := make(map[string]*Family)
-	get := func(name string) *Family {
-		f, ok := families[name]
-		if !ok {
-			f = &Family{Name: name}
-			families[name] = f
+	ordered, err := parse(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	families := make(map[string]*Family, len(ordered))
+	for _, f := range ordered {
+		families[f.Name] = f
+	}
+	return families
+}
+
+// parse returns the exposition's families in emitted order.
+func parse(body string) ([]*Family, error) {
+	var ordered []*Family
+	seen := make(map[string]*Family)
+	// family returns name's family: the current group, or a new one when
+	// name has not appeared before. A name whose group already ended fails.
+	family := func(name string) (*Family, error) {
+		if n := len(ordered); n > 0 && ordered[n-1].Name == name {
+			return ordered[n-1], nil
 		}
-		return f
+		if _, ok := seen[name]; ok {
+			return nil, fmt.Errorf("family %q is not one contiguous group", name)
+		}
+		f := &Family{Name: name}
+		seen[name] = f
+		ordered = append(ordered, f)
+		return f, nil
 	}
 	// A histogram's _bucket/_sum/_count series belong to the base family.
 	base := func(name string) string {
 		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-			trimmed := strings.TrimSuffix(name, suffix)
-			if trimmed != name {
-				if f, ok := families[trimmed]; ok && f.Type == "histogram" {
+			if trimmed, ok := strings.CutSuffix(name, suffix); ok {
+				if f, ok := seen[trimmed]; ok && f.Type == "histogram" {
 					return trimmed
 				}
 			}
@@ -74,33 +97,84 @@ func ParseExposition(t *testing.T, body string) map[string]*Family {
 		if line == "" {
 			continue
 		}
-		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
-			name, help, found := strings.Cut(rest, " ")
-			if !found {
-				t.Fatalf("HELP line without text: %q", line)
-			}
-			get(name).Help = help
-			continue
-		}
-		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
-			name, typ, found := strings.Cut(rest, " ")
-			if !found {
-				t.Fatalf("TYPE line without a type: %q", line)
-			}
-			get(name).Type = typ
-			continue
-		}
 		if strings.HasPrefix(line, "#") {
-			continue // comment
+			// "#", keyword, metric name, text; other comments are skipped.
+			fields := strings.SplitN(line, " ", 4)
+			if len(fields) < 2 || fields[0] != "#" || (fields[1] != "HELP" && fields[1] != "TYPE") {
+				continue
+			}
+			if len(fields) < 4 {
+				return nil, fmt.Errorf("%s line without text: %q", fields[1], line)
+			}
+			f, err := family(fields[2])
+			if err != nil {
+				return nil, err
+			}
+			field := &f.Help
+			if fields[1] == "TYPE" {
+				field = &f.Type
+			}
+			if *field != "" {
+				return nil, fmt.Errorf("repeated %s line: %q", fields[1], line)
+			}
+			*field = fields[3]
+			continue
 		}
 		sample, err := parseSampleLine(line)
 		if err != nil {
-			t.Fatalf("unparseable sample %q: %v", line, err)
+			return nil, fmt.Errorf("unparseable sample %q: %v", line, err)
 		}
-		f := get(base(sample.Name))
+		f, err := family(base(sample.Name))
+		if err != nil {
+			return nil, err
+		}
 		f.Samples = append(f.Samples, sample)
 	}
-	return families
+	return ordered, nil
+}
+
+// Schema renders each family of the exposition in emitted order as one line:
+// name, TYPE, the label names its samples use (first-seen order) and HELP
+// text — what dashboards and alert rules depend on, without label or sample
+// values.
+func Schema(t *testing.T, body string) string {
+	t.Helper()
+	ordered, err := parse(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	for _, f := range ordered {
+		var names []string
+		for _, s := range f.Samples {
+			for _, l := range s.Labels {
+				if !slices.Contains(names, l.Name) {
+					names = append(names, l.Name)
+				}
+			}
+		}
+		fmt.Fprintf(&b, "%s %s {%s} %s\n", f.Name, f.Type, strings.Join(names, ","), f.Help)
+	}
+	return b.String()
+}
+
+// RequireSchema fails unless the exposition's Schema equals the golden file,
+// naming the first line that differs.
+func RequireSchema(t *testing.T, body, golden string) {
+	t.Helper()
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, w := strings.Split(Schema(t, body), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(g) && i < len(w); i++ {
+		if g[i] != w[i] {
+			t.Fatalf("/metrics schema differs from %s at line %d:\n got: %s\nwant: %s", golden, i+1, g[i], w[i])
+		}
+	}
+	if len(g) != len(w) {
+		t.Fatalf("/metrics schema has %d lines, %s has %d", len(g), golden, len(w))
+	}
 }
 
 func parseSampleLine(line string) (Sample, error) {
@@ -112,40 +186,9 @@ func parseSampleLine(line string) (Sample, error) {
 	s.Name = line[:i]
 	rest := line[i:]
 	if rest[0] == '{' {
-		end := -1
-		inQuotes := false
-		for j := 1; j < len(rest); j++ {
-			switch rest[j] {
-			case '\\':
-				j++ // skip the escaped byte
-			case '"':
-				inQuotes = !inQuotes
-			case '}':
-				if !inQuotes {
-					end = j
-				}
-			}
-			if end >= 0 {
-				break
-			}
-		}
-		if end < 0 {
-			return s, fmt.Errorf("unterminated label set")
-		}
-		labels := rest[1:end]
-		rest = rest[end+1:]
-		for len(labels) > 0 {
-			eq := strings.Index(labels, "=")
-			if eq < 0 {
-				return s, fmt.Errorf("label without =")
-			}
-			name := labels[:eq]
-			q, tail, err := cutQuoted(labels[eq+1:])
-			if err != nil {
-				return s, err
-			}
-			s.Labels = append(s.Labels, Label{Name: name, Value: q})
-			labels = strings.TrimPrefix(tail, ",")
+		var err error
+		if s.Labels, rest, err = cutLabels(rest); err != nil {
+			return s, err
 		}
 	}
 	// An exemplar rides after the value as ` # {labels} value [timestamp]`
@@ -165,32 +208,38 @@ func parseSampleLine(line string) (Sample, error) {
 	return s, nil
 }
 
+// cutLabels splits a leading {name="value",...} set with legal label names
+// off s.
+func cutLabels(s string) (labels []Label, rest string, err error) {
+	if len(s) == 0 || s[0] != '{' {
+		return nil, "", fmt.Errorf("label set expected: %q", s)
+	}
+	s = s[1:]
+	for {
+		if rest, ok := strings.CutPrefix(s, "}"); ok {
+			return labels, rest, nil
+		}
+		name, quoted, found := strings.Cut(s, "=")
+		if !found || !labelNameRe.MatchString(name) {
+			return nil, "", fmt.Errorf("bad label at %q", s)
+		}
+		value, tail, err := cutQuoted(quoted)
+		if err != nil {
+			return nil, "", err
+		}
+		labels = append(labels, Label{Name: name, Value: value})
+		s = strings.TrimPrefix(tail, ",")
+	}
+}
+
 // checkExemplar validates the portion after " # ": a {label="value",...} set
 // followed by a float value and an optional float timestamp.
 func checkExemplar(ex string) error {
-	if len(ex) == 0 || ex[0] != '{' {
-		return fmt.Errorf("exemplar without label set: %q", ex)
+	_, rest, err := cutLabels(ex)
+	if err != nil {
+		return fmt.Errorf("exemplar: %v", err)
 	}
-	end := strings.Index(ex, "}")
-	if end < 0 {
-		return fmt.Errorf("unterminated exemplar label set: %q", ex)
-	}
-	labels := ex[1:end]
-	for len(labels) > 0 {
-		eq := strings.Index(labels, "=")
-		if eq < 0 {
-			return fmt.Errorf("exemplar label without =: %q", ex)
-		}
-		if !labelNameRe.MatchString(labels[:eq]) {
-			return fmt.Errorf("illegal exemplar label name %q", labels[:eq])
-		}
-		_, tail, err := cutQuoted(labels[eq+1:])
-		if err != nil {
-			return err
-		}
-		labels = strings.TrimPrefix(tail, ",")
-	}
-	fields := strings.Fields(ex[end+1:])
+	fields := strings.Fields(rest)
 	if len(fields) < 1 || len(fields) > 2 {
 		return fmt.Errorf("exemplar needs a value and optional timestamp: %q", ex)
 	}
@@ -202,18 +251,33 @@ func checkExemplar(ex string) error {
 	return nil
 }
 
-// cutQuoted splits a leading Go-quoted string off s.
+// cutQuoted splits a leading quoted label value off s and unescapes it. The
+// format defines only the \\, \" and \n escapes; every other rune is raw
+// UTF-8.
 func cutQuoted(s string) (value, rest string, err error) {
 	if len(s) == 0 || s[0] != '"' {
 		return "", "", fmt.Errorf("label value not quoted: %q", s)
 	}
+	var v strings.Builder
 	for j := 1; j < len(s); j++ {
-		switch s[j] {
-		case '\\':
+		switch c := s[j]; {
+		case c == '"':
+			if !utf8.ValidString(v.String()) {
+				return "", "", fmt.Errorf("label value is not UTF-8: %q", s[:j+1])
+			}
+			return v.String(), s[j+1:], nil
+		case c == '\\' && j+1 < len(s):
 			j++
-		case '"':
-			v, err := strconv.Unquote(s[:j+1])
-			return v, s[j+1:], err
+			switch s[j] {
+			case '\\', '"':
+				v.WriteByte(s[j])
+			case 'n':
+				v.WriteByte('\n')
+			default:
+				return "", "", fmt.Errorf("escape \\%c is not in the exposition format: %q", s[j], s)
+			}
+		default:
+			v.WriteByte(c)
 		}
 	}
 	return "", "", fmt.Errorf("unterminated quoted value: %q", s)
@@ -253,11 +317,6 @@ func LintFamily(t *testing.T, f *Family) {
 		t.Errorf("family %q has TYPE %q", f.Name, f.Type)
 	}
 	for _, s := range f.Samples {
-		for _, l := range s.Labels {
-			if !labelNameRe.MatchString(l.Name) {
-				t.Errorf("illegal label name %q in %q", l.Name, s.Line)
-			}
-		}
 		if f.Type == "counter" && s.Value < 0 {
 			t.Errorf("negative counter: %q", s.Line)
 		}

@@ -1,16 +1,15 @@
 package selfmodel
 
 import (
-	"fmt"
 	"io"
 
-	"repro/internal/report"
+	"repro/internal/promtext"
 )
 
 // zeroHist renders the latency histogram's stable schema before any monitor
 // exists (the nil-receiver scrape path).
-var zeroHist = func() *report.FixedHistogram {
-	h, err := report.NewFixedHistogram(report.DefaultLatencyBounds()...)
+var zeroHist = func() *promtext.Histogram {
+	h, err := promtext.NewHistogram(promtext.LatencyBounds()...)
 	if err != nil {
 		panic(err)
 	}
@@ -53,89 +52,44 @@ func (m *Monitor) WriteMetrics(w io.Writer) error {
 		return 0
 	}
 
-	fmt.Fprintln(w, "# HELP solverd_self_windows_total Self-model sampling windows closed.")
-	fmt.Fprintln(w, "# TYPE solverd_self_windows_total counter")
-	fmt.Fprintf(w, "solverd_self_windows_total %d\n", rep.Windows)
-	fmt.Fprintln(w, "# HELP solverd_self_empty_windows_total Windows closed with no completed sampled requests.")
-	fmt.Fprintln(w, "# TYPE solverd_self_empty_windows_total counter")
-	fmt.Fprintf(w, "solverd_self_empty_windows_total %d\n", rep.EmptyWindows)
-	fmt.Fprintln(w, "# HELP solverd_self_sampled_requests_total Requests the self-model has sampled to completion.")
-	fmt.Fprintln(w, "# TYPE solverd_self_sampled_requests_total counter")
+	p := promtext.NewWriter(w)
+	p.Counter("solverd_self_windows_total", "Self-model sampling windows closed.").Uint(rep.Windows)
+	p.Counter("solverd_self_empty_windows_total", "Windows closed with no completed sampled requests.").Uint(rep.EmptyWindows)
 	// Read live, not from the published report: completions land here the
 	// moment a sampled request finishes, not at the next window close.
-	fmt.Fprintf(w, "solverd_self_sampled_requests_total %d\n", sampled)
-	fmt.Fprintln(w, "# HELP solverd_self_refits_total Deviation-breach-triggered self-model re-fits.")
-	fmt.Fprintln(w, "# TYPE solverd_self_refits_total counter")
-	fmt.Fprintf(w, "solverd_self_refits_total %d\n", rep.Refits)
-	fmt.Fprintln(w, "# HELP solverd_self_in_flight Sampled requests currently in flight.")
-	fmt.Fprintln(w, "# TYPE solverd_self_in_flight gauge")
-	fmt.Fprintf(w, "solverd_self_in_flight %d\n", inFlight)
-	fmt.Fprintln(w, "# HELP solverd_self_snapshot_version Version of the self-model demand snapshot the curve is solved from (0 before the first fit).")
-	fmt.Fprintln(w, "# TYPE solverd_self_snapshot_version gauge")
-	fmt.Fprintf(w, "solverd_self_snapshot_version %d\n", rep.SnapshotVersion)
+	p.Counter("solverd_self_sampled_requests_total", "Requests the self-model has sampled to completion.").Uint(sampled)
+	p.Counter("solverd_self_refits_total", "Deviation-breach-triggered self-model re-fits.").Uint(rep.Refits)
+	p.Gauge("solverd_self_in_flight", "Sampled requests currently in flight.").Int(inFlight)
+	p.Gauge("solverd_self_snapshot_version", "Version of the self-model demand snapshot the curve is solved from (0 before the first fit).").Uint(rep.SnapshotVersion)
 
-	fmt.Fprintln(w, "# HELP solverd_self_observed_throughput Latest window's observed throughput (requests/s).")
-	fmt.Fprintln(w, "# TYPE solverd_self_observed_throughput gauge")
-	fmt.Fprintf(w, "solverd_self_observed_throughput %g\n", rep.ObservedX)
-	fmt.Fprintln(w, "# HELP solverd_self_predicted_throughput Self-model predicted throughput at the observed concurrency (requests/s).")
-	fmt.Fprintln(w, "# TYPE solverd_self_predicted_throughput gauge")
-	fmt.Fprintf(w, "solverd_self_predicted_throughput %g\n", rep.PredictedX)
-	fmt.Fprintln(w, "# HELP solverd_self_observed_p50_seconds Latest window's observed median request latency.")
-	fmt.Fprintln(w, "# TYPE solverd_self_observed_p50_seconds gauge")
-	fmt.Fprintf(w, "solverd_self_observed_p50_seconds %g\n", rep.ObservedP50)
-	fmt.Fprintln(w, "# HELP solverd_self_observed_p99_seconds Latest window's observed p99 request latency.")
-	fmt.Fprintln(w, "# TYPE solverd_self_observed_p99_seconds gauge")
-	fmt.Fprintf(w, "solverd_self_observed_p99_seconds %g\n", rep.ObservedP99)
-	fmt.Fprintln(w, "# HELP solverd_self_predicted_p50_seconds Self-model predicted median latency at the observed concurrency.")
-	fmt.Fprintln(w, "# TYPE solverd_self_predicted_p50_seconds gauge")
-	fmt.Fprintf(w, "solverd_self_predicted_p50_seconds %g\n", rep.PredictedP50)
-	fmt.Fprintln(w, "# HELP solverd_self_predicted_p99_seconds Self-model predicted p99 latency at the observed concurrency.")
-	fmt.Fprintln(w, "# TYPE solverd_self_predicted_p99_seconds gauge")
-	fmt.Fprintf(w, "solverd_self_predicted_p99_seconds %g\n", rep.PredictedP99)
+	p.Gauge("solverd_self_observed_throughput", "Latest window's observed throughput (requests/s).").Float(rep.ObservedX)
+	p.Gauge("solverd_self_predicted_throughput", "Self-model predicted throughput at the observed concurrency (requests/s).").Float(rep.PredictedX)
+	p.Gauge("solverd_self_observed_p50_seconds", "Latest window's observed median request latency.").Float(rep.ObservedP50)
+	p.Gauge("solverd_self_observed_p99_seconds", "Latest window's observed p99 request latency.").Float(rep.ObservedP99)
+	p.Gauge("solverd_self_predicted_p50_seconds", "Self-model predicted median latency at the observed concurrency.").Float(rep.PredictedP50)
+	p.Gauge("solverd_self_predicted_p99_seconds", "Self-model predicted p99 latency at the observed concurrency.").Float(rep.PredictedP99)
 
-	fmt.Fprintln(w, "# HELP solverd_self_saturated Whether the predicted curve reaches the saturation knee inside the solved range (0/1).")
-	fmt.Fprintln(w, "# TYPE solverd_self_saturated gauge")
-	fmt.Fprintf(w, "solverd_self_saturated %d\n", b01(rep.Saturated))
-	fmt.Fprintln(w, "# HELP solverd_self_knee_concurrency Predicted saturation knee: first concurrency at the worker-utilization threshold (0 until saturated).")
-	fmt.Fprintln(w, "# TYPE solverd_self_knee_concurrency gauge")
-	fmt.Fprintf(w, "solverd_self_knee_concurrency %d\n", rep.KneeN)
-	fmt.Fprintln(w, "# HELP solverd_self_p99_limit_concurrency Largest concurrency whose predicted p99 honors the configured bound (0 without a bound).")
-	fmt.Fprintln(w, "# TYPE solverd_self_p99_limit_concurrency gauge")
-	fmt.Fprintf(w, "solverd_self_p99_limit_concurrency %d\n", rep.P99LimitN)
-	fmt.Fprintln(w, "# HELP solverd_self_max_safe_concurrency Predicted max concurrency before saturation and the p99 bound.")
-	fmt.Fprintln(w, "# TYPE solverd_self_max_safe_concurrency gauge")
-	fmt.Fprintf(w, "solverd_self_max_safe_concurrency %d\n", rep.MaxSafeN)
-	fmt.Fprintln(w, "# HELP solverd_self_headroom Predicted max safe concurrency minus current in-flight (negative past saturation).")
-	fmt.Fprintln(w, "# TYPE solverd_self_headroom gauge")
-	fmt.Fprintf(w, "solverd_self_headroom %d\n", rep.MaxSafeN-inFlight)
-	fmt.Fprintln(w, "# HELP solverd_self_shed_advised Advisory shed signal: the node predicts it is at or past its safe concurrency (0/1; acted on by the admission gate in enforce mode).")
-	fmt.Fprintln(w, "# TYPE solverd_self_shed_advised gauge")
-	fmt.Fprintf(w, "solverd_self_shed_advised %d\n", b01(rep.Ready && rep.MaxSafeN-inFlight <= 0))
+	p.Gauge("solverd_self_saturated", "Whether the predicted curve reaches the saturation knee inside the solved range (0/1).").Int(b01(rep.Saturated))
+	p.Gauge("solverd_self_knee_concurrency", "Predicted saturation knee: first concurrency at the worker-utilization threshold (0 until saturated).").Int(rep.KneeN)
+	p.Gauge("solverd_self_p99_limit_concurrency", "Largest concurrency whose predicted p99 honors the configured bound (0 without a bound).").Int(rep.P99LimitN)
+	p.Gauge("solverd_self_max_safe_concurrency", "Predicted max concurrency before saturation and the p99 bound.").Int(rep.MaxSafeN)
+	p.Gauge("solverd_self_headroom", "Predicted max safe concurrency minus current in-flight (negative past saturation).").Int(rep.MaxSafeN - inFlight)
+	p.Gauge("solverd_self_shed_advised", "Advisory shed signal: the node predicts it is at or past its safe concurrency (0/1; acted on by the admission gate in enforce mode).").Int(b01(rep.Ready && rep.MaxSafeN-inFlight <= 0))
 
-	fmt.Fprintln(w, "# HELP solverd_self_deviation_ratio Latest |observed-predicted|/observed per self-model metric.")
-	fmt.Fprintln(w, "# TYPE solverd_self_deviation_ratio gauge")
+	p.Gauge("solverd_self_deviation_ratio", "Latest |observed-predicted|/observed per self-model metric.")
 	for _, metric := range DeviationMetrics {
-		fmt.Fprintf(w, "solverd_self_deviation_ratio{metric=%q} %g\n", metric, devRatio[metric])
+		p.Float(devRatio[metric], "metric", metric)
 	}
-	fmt.Fprintln(w, "# HELP solverd_self_deviation_breaches_total Windows whose self-model deviation exceeded the paper's bound, per metric.")
-	fmt.Fprintln(w, "# TYPE solverd_self_deviation_breaches_total counter")
+	p.Counter("solverd_self_deviation_breaches_total", "Windows whose self-model deviation exceeded the paper's bound, per metric.")
 	for _, metric := range DeviationMetrics {
-		fmt.Fprintf(w, "solverd_self_deviation_breaches_total{metric=%q} %d\n", metric, devBreaches[metric])
+		p.Uint(devBreaches[metric], "metric", metric)
 	}
 
-	fmt.Fprintln(w, "# HELP solverd_self_request_seconds Sampled request wall time observed by the self-model.")
-	fmt.Fprintln(w, "# TYPE solverd_self_request_seconds histogram")
-	var err error
+	p.Histogram("solverd_self_request_seconds", "Sampled request wall time observed by the self-model.")
 	if m != nil {
 		m.mu.Lock()
-		err = hist.WritePrometheus(w, "solverd_self_request_seconds", "")
-		m.mu.Unlock()
-	} else {
-		err = hist.WritePrometheus(w, "solverd_self_request_seconds", "")
+		defer m.mu.Unlock()
 	}
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintln(w)
-	return err
+	p.Buckets(hist)
+	return p.Err()
 }

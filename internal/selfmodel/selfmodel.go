@@ -35,8 +35,8 @@ import (
 	"repro/internal/estimate"
 	"repro/internal/journal"
 	"repro/internal/monitor"
+	"repro/internal/promtext"
 	"repro/internal/queueing"
-	"repro/internal/report"
 )
 
 // Station names of the node's self-model, in model order.
@@ -258,7 +258,7 @@ type Monitor struct {
 	sumLatency                 time.Duration
 	lat                        []time.Duration // window reservoir (ring)
 	latN                       int             // writes this window
-	latHist                    *report.FixedHistogram
+	latHist                    *promtext.Histogram
 	totalWindows, emptyWindows uint64
 	totalCompletions           uint64
 	sinceFit                   int // non-empty windows since the last fit attempt
@@ -281,7 +281,7 @@ func New(cfg Config) *Monitor {
 		// SelfModel always validates; an error here is a programming bug.
 		panic(err)
 	}
-	hist, _ := report.NewFixedHistogram(report.DefaultLatencyBounds()...)
+	hist, _ := promtext.NewHistogram(promtext.LatencyBounds()...)
 	now := cfg.Now()
 	return &Monitor{
 		cfg:         cfg,

@@ -14,6 +14,7 @@ import (
 	"repro/internal/estimate"
 	"repro/internal/journal"
 	"repro/internal/modelio"
+	"repro/internal/promtext"
 	"repro/internal/queueing"
 	"repro/internal/telemetry"
 )
@@ -162,10 +163,9 @@ func (s *Server) writeEstimateMetrics(w io.Writer) error {
 	if err := ctl.WriteMetrics(w); err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "# HELP solverd_estimate_cache_invalidations_total Solve-cache entries evicted because their demand snapshot was superseded.")
-	fmt.Fprintln(w, "# TYPE solverd_estimate_cache_invalidations_total counter")
-	_, err := fmt.Fprintf(w, "solverd_estimate_cache_invalidations_total %d\n\n", er.invalidations.Load())
-	return err
+	p := promtext.NewWriter(w)
+	p.Counter("solverd_estimate_cache_invalidations_total", "Solve-cache entries evicted because their demand snapshot was superseded.").Uint(er.invalidations.Load())
+	return p.Err()
 }
 
 // handleObserve serves POST /v1/observe: ingest station samples, score

@@ -1,25 +1,25 @@
 package server
 
 import (
-	"fmt"
 	"io"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/report"
+	"repro/internal/promtext"
 )
 
 // serverMetrics is the service's observability state, rendered on /metrics in
 // the Prometheus text exposition format: per-handler request counters and
-// latency histograms (report.FixedHistogram), solve-cache hit/miss counters,
+// latency histograms (promtext.Histogram), solve-cache hit/miss counters,
 // and an in-flight solve gauge.
 type serverMetrics struct {
 	mu       sync.Mutex
 	requests map[reqKey]uint64
-	latency  map[string]*report.FixedHistogram
+	latency  map[string]*promtext.Histogram
 
 	cacheHits   atomic.Uint64
 	cacheMisses atomic.Uint64
@@ -42,7 +42,7 @@ type serverMetrics struct {
 	// fpHist records MVASD demand/throughput fixed-point iteration counts;
 	// fpFailures counts the resolutions that hit the iteration cap.
 	fpMu       sync.Mutex
-	fpHist     *report.FixedHistogram
+	fpHist     *promtext.Histogram
 	fpFailures atomic.Uint64
 
 	// goVersion/revision label the solverd_build_info gauge.
@@ -55,11 +55,11 @@ type reqKey struct {
 }
 
 func newServerMetrics() *serverMetrics {
-	fpHist, _ := report.NewFixedHistogram(report.DefaultIterationBounds()...)
+	fpHist, _ := promtext.NewHistogram(promtext.IterationBounds()...)
 	goVersion, revision := buildInfo()
 	return &serverMetrics{
 		requests:  make(map[reqKey]uint64),
-		latency:   make(map[string]*report.FixedHistogram),
+		latency:   make(map[string]*promtext.Histogram),
 		fpHist:    fpHist,
 		goVersion: goVersion,
 		revision:  revision,
@@ -85,7 +85,7 @@ func (m *serverMetrics) observeRequest(handler string, code int, seconds float64
 	m.requests[reqKey{handler, code}]++
 	h, ok := m.latency[handler]
 	if !ok {
-		h, _ = report.NewFixedHistogram(report.DefaultLatencyBounds()...)
+		h, _ = promtext.NewHistogram(promtext.LatencyBounds()...)
 		m.latency[handler] = h
 	}
 	h.ObserveWithExemplar(seconds, traceID, float64(time.Now().UnixMilli())/1000)
@@ -101,8 +101,8 @@ func (m *serverMetrics) writePrometheus(w io.Writer, cacheEntries int, solves []
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
-	fmt.Fprintln(w, "# HELP solverd_requests_total HTTP requests served, by handler and status code.")
-	fmt.Fprintln(w, "# TYPE solverd_requests_total counter")
+	p := promtext.NewWriter(w)
+	p.Counter("solverd_requests_total", "HTTP requests served, by handler and status code.")
 	keys := make([]reqKey, 0, len(m.requests))
 	for k := range m.requests {
 		keys = append(keys, k)
@@ -114,87 +114,50 @@ func (m *serverMetrics) writePrometheus(w io.Writer, cacheEntries int, solves []
 		return keys[i].code < keys[j].code
 	})
 	for _, k := range keys {
-		fmt.Fprintf(w, "solverd_requests_total{handler=%q,code=\"%d\"} %d\n", k.handler, k.code, m.requests[k])
+		p.Uint(m.requests[k], "handler", k.handler, "code", strconv.Itoa(k.code))
 	}
 
-	fmt.Fprintln(w, "# HELP solverd_request_duration_seconds Request latency, by handler.")
-	fmt.Fprintln(w, "# TYPE solverd_request_duration_seconds histogram")
+	p.Histogram("solverd_request_duration_seconds", "Request latency, by handler.")
 	handlers := make([]string, 0, len(m.latency))
 	for h := range m.latency {
 		handlers = append(handlers, h)
 	}
 	sort.Strings(handlers)
 	for _, h := range handlers {
-		labels := fmt.Sprintf("handler=%q", h)
-		if err := m.latency[h].WritePrometheusExemplars(w, "solverd_request_duration_seconds", labels); err != nil {
-			return err
-		}
+		p.Buckets(m.latency[h], "handler", h)
 	}
 
 	hits, misses := m.cacheHits.Load(), m.cacheMisses.Load()
-	fmt.Fprintln(w, "# HELP solverd_cache_hits_total Solves served from the cache or a shared in-flight run.")
-	fmt.Fprintln(w, "# TYPE solverd_cache_hits_total counter")
-	fmt.Fprintf(w, "solverd_cache_hits_total %d\n", hits)
-	fmt.Fprintln(w, "# HELP solverd_cache_misses_total Solves that ran the solver.")
-	fmt.Fprintln(w, "# TYPE solverd_cache_misses_total counter")
-	fmt.Fprintf(w, "solverd_cache_misses_total %d\n", misses)
-	fmt.Fprintln(w, "# HELP solverd_cache_hit_ratio Hits over lookups since start (0 when no lookups).")
-	fmt.Fprintln(w, "# TYPE solverd_cache_hit_ratio gauge")
 	ratio := 0.0
 	if total := hits + misses; total > 0 {
 		ratio = float64(hits) / float64(total)
 	}
-	fmt.Fprintf(w, "solverd_cache_hit_ratio %g\n", ratio)
-	fmt.Fprintln(w, "# HELP solverd_cache_entries Results currently cached.")
-	fmt.Fprintln(w, "# TYPE solverd_cache_entries gauge")
-	fmt.Fprintf(w, "solverd_cache_entries %d\n", cacheEntries)
-	fmt.Fprintln(w, "# HELP solverd_solves_total Solver executions (cold runs plus extensions).")
-	fmt.Fprintln(w, "# TYPE solverd_solves_total counter")
-	fmt.Fprintf(w, "solverd_solves_total %d\n", m.solveRuns.Load())
-	fmt.Fprintln(w, "# HELP solverd_solve_extends_total Solver executions that resumed a cached trajectory.")
-	fmt.Fprintln(w, "# TYPE solverd_solve_extends_total counter")
-	fmt.Fprintf(w, "solverd_solve_extends_total %d\n", m.solveExtends.Load())
-	fmt.Fprintln(w, "# HELP solverd_peer_fill_restores_total Cold solves warm-started from a cluster peer's cached trajectory.")
-	fmt.Fprintln(w, "# TYPE solverd_peer_fill_restores_total counter")
-	fmt.Fprintf(w, "solverd_peer_fill_restores_total %d\n", m.peerFillRestores.Load())
-	fmt.Fprintln(w, "# HELP solverd_in_flight_solves Solver runs executing right now.")
-	fmt.Fprintln(w, "# TYPE solverd_in_flight_solves gauge")
-	fmt.Fprintf(w, "solverd_in_flight_solves %d\n", m.inFlight.Load())
+	p.Counter("solverd_cache_hits_total", "Solves served from the cache or a shared in-flight run.").Uint(hits)
+	p.Counter("solverd_cache_misses_total", "Solves that ran the solver.").Uint(misses)
+	p.Gauge("solverd_cache_hit_ratio", "Hits over lookups since start (0 when no lookups).").Float(ratio)
+	p.Gauge("solverd_cache_entries", "Results currently cached.").Int(cacheEntries)
+	p.Counter("solverd_solves_total", "Solver executions (cold runs plus extensions).").Uint(m.solveRuns.Load())
+	p.Counter("solverd_solve_extends_total", "Solver executions that resumed a cached trajectory.").Uint(m.solveExtends.Load())
+	p.Counter("solverd_peer_fill_restores_total", "Cold solves warm-started from a cluster peer's cached trajectory.").Uint(m.peerFillRestores.Load())
+	p.Gauge("solverd_in_flight_solves", "Solver runs executing right now.").Int(int(m.inFlight.Load()))
+	p.Counter("solverd_solve_step_populations_total", "Committed population steps across all solver runs.").Uint(m.stepPops.Load())
 
-	fmt.Fprintln(w, "# HELP solverd_solve_step_populations_total Committed population steps across all solver runs.")
-	fmt.Fprintln(w, "# TYPE solverd_solve_step_populations_total counter")
-	fmt.Fprintf(w, "solverd_solve_step_populations_total %d\n", m.stepPops.Load())
-
-	fmt.Fprintln(w, "# HELP solverd_mvasd_fixedpoint_iterations Iterations per MVASD demand/throughput fixed-point resolution.")
-	fmt.Fprintln(w, "# TYPE solverd_mvasd_fixedpoint_iterations histogram")
+	p.Histogram("solverd_mvasd_fixedpoint_iterations", "Iterations per MVASD demand/throughput fixed-point resolution.")
 	m.fpMu.Lock()
-	err := m.fpHist.WritePrometheus(w, "solverd_mvasd_fixedpoint_iterations", "")
+	p.Buckets(m.fpHist)
 	m.fpMu.Unlock()
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "# HELP solverd_mvasd_fixedpoint_failures_total Fixed-point resolutions that hit the iteration cap without converging.")
-	fmt.Fprintln(w, "# TYPE solverd_mvasd_fixedpoint_failures_total counter")
-	fmt.Fprintf(w, "solverd_mvasd_fixedpoint_failures_total %d\n", m.fpFailures.Load())
+	p.Counter("solverd_mvasd_fixedpoint_failures_total", "Fixed-point resolutions that hit the iteration cap without converging.").Uint(m.fpFailures.Load())
 
-	fmt.Fprintln(w, "# HELP solverd_solve_progress Current population of each in-flight solver run.")
-	fmt.Fprintln(w, "# TYPE solverd_solve_progress gauge")
+	p.Gauge("solverd_solve_progress", "Current population of each in-flight solver run.")
 	for _, f := range solves {
-		fmt.Fprintf(w, "solverd_solve_progress{id=%q,algorithm=%q,target=\"%d\"} %d\n",
-			f.ID, f.Algorithm, f.TargetN, f.CurrentN)
+		p.Int(int(f.CurrentN), "id", f.ID, "algorithm", f.Algorithm, "target", strconv.Itoa(f.TargetN))
 	}
 
-	fmt.Fprintln(w, "# HELP solverd_build_info Build metadata; always 1.")
-	fmt.Fprintln(w, "# TYPE solverd_build_info gauge")
-	fmt.Fprintf(w, "solverd_build_info{go_version=%q,revision=%q} 1\n", m.goVersion, m.revision)
+	p.Gauge("solverd_build_info", "Build metadata; always 1.").Int(1, "go_version", m.goVersion, "revision", m.revision)
 
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	fmt.Fprintln(w, "# HELP solverd_goroutines Goroutines currently running.")
-	fmt.Fprintln(w, "# TYPE solverd_goroutines gauge")
-	fmt.Fprintf(w, "solverd_goroutines %d\n", runtime.NumGoroutine())
-	fmt.Fprintln(w, "# HELP solverd_heap_inuse_bytes Bytes in in-use heap spans.")
-	fmt.Fprintln(w, "# TYPE solverd_heap_inuse_bytes gauge")
-	_, err = fmt.Fprintf(w, "solverd_heap_inuse_bytes %d\n", ms.HeapInuse)
-	return err
+	p.Gauge("solverd_goroutines", "Goroutines currently running.").Int(runtime.NumGoroutine())
+	p.Gauge("solverd_heap_inuse_bytes", "Bytes in in-use heap spans.").Uint(ms.HeapInuse)
+	return p.Err()
 }

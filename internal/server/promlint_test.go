@@ -12,7 +12,8 @@ import (
 // TestPrometheusExpositionLint exercises the service, scrapes /metrics, and
 // lints every emitted family through the shared promtest rules: HELP and
 // TYPE present, legal metric/label names, and — for histograms — cumulative
-// bucket monotonicity with a terminal +Inf bucket matching _count.
+// bucket monotonicity with a terminal +Inf bucket matching _count. The
+// exposition's schema must match testdata/metrics_schema.golden.
 func TestPrometheusExpositionLint(t *testing.T) {
 	// A keep-all recorder so the trace-store gauges are part of the linted
 	// exposition.
@@ -119,6 +120,8 @@ func TestPrometheusExpositionLint(t *testing.T) {
 	)
 
 	promtest.LintFamilies(t, families)
+	// Family order, TYPE, HELP text and label names are pinned byte for byte.
+	promtest.RequireSchema(t, body, "testdata/metrics_schema.golden")
 
 	// Spot-check semantics: the cache series saw the hit and the miss, the
 	// step counter advanced, the MVASD histogram observed fixed points
@@ -167,5 +170,40 @@ func TestPrometheusExpositionLint(t *testing.T) {
 	}
 	if c := promtest.HistogramCount(t, families, "solverd_self_request_seconds"); c < 4 {
 		t.Errorf("self request histogram count = %g, want >= 4", c)
+	}
+}
+
+// TestMetricsLabelEscaping registers station names carrying runes Go's %q
+// would escape (tab, \x01, U+2028) next to the three the exposition format
+// escapes (", \ and newline). The scrape must use only the format's escapes
+// (the promtest parser rejects any other), and every solverd_estimate_*
+// station label must read back as the exact station name.
+func TestMetricsLabelEscaping(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	names := []string{"web\tcpu\x01é", "app\u2028\"cpu\"", `db\disk` + "\nraid"}
+	m := estTestModel()
+	for i := range m.Stations {
+		m.Stations[i].Name = names[i]
+	}
+	req := observeBody(t, m, estTruth(1), 8, true, 0)
+	req.Fit = true
+	postObserve(t, ts, req)
+
+	_, body := getBody(t, ts.URL+"/metrics")
+	families := promtest.ParseExposition(t, body)
+	for _, name := range []string{
+		"solverd_estimate_samples_total", "solverd_estimate_samples_rejected_total",
+		"solverd_estimate_cell_resets_total", "solverd_estimate_cells",
+		"solverd_estimate_fit_ready_cells", "solverd_estimate_fit_residual",
+	} {
+		f := families[name]
+		if f == nil || len(f.Samples) != len(names) {
+			t.Fatalf("%s: %+v, want one series per station", name, f)
+		}
+		for i, s := range f.Samples {
+			if got := s.Label("station"); got != names[i] {
+				t.Errorf("%s station label %d = %q, want %q", name, i, got, names[i])
+			}
+		}
 	}
 }

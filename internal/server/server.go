@@ -224,15 +224,12 @@ func New(cfg Config) *Server {
 	s.mux.Handle("/debug/events", s.instrument("events", http.MethodGet, s.handleEvents))
 	s.mux.Handle("/debug/profiles", s.instrument("profiles", http.MethodGet, s.handleProfileIndex))
 	s.mux.Handle("/debug/profiles/", s.instrument("profile", http.MethodGet, s.handleProfileGet))
-	if cfg.Recorder != nil {
-		s.RegisterMetrics(func(w io.Writer) error {
-			cfg.Recorder.WriteMetrics(w)
-			return nil
-		})
-	}
-	// Deviation and estimation families are registered unconditionally: the
-	// nil-safe writers expose every family (at zero) before any estimator or
-	// observation exists, so scrapes see stable schemas.
+	// The trace-store families appear only with a recorder (a nil one writes
+	// nothing). Deviation and estimation families are registered
+	// unconditionally: the nil-safe writers expose every family (at zero)
+	// before any estimator or observation exists, so scrapes see stable
+	// schemas.
+	s.RegisterMetrics(cfg.Recorder.WriteMetrics)
 	s.RegisterMetrics(s.tracker.WriteMetrics)
 	s.RegisterMetrics(s.writeEstimateMetrics)
 	s.RegisterMetrics(s.selfmon.WriteMetrics)
