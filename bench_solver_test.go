@@ -29,11 +29,14 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chebyshev"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/interp"
 	"repro/internal/modelio"
 	"repro/internal/queueing"
 	"repro/internal/server"
+	"repro/internal/testbed"
 )
 
 // benchSolverModel is the three-tier model the solver benchmarks share: a
@@ -263,6 +266,126 @@ func BenchmarkSolverDeep(b *testing.B) {
 				float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(maxN))
 		})
 	}
+	benchDeepMultiServer(b)
+}
+
+// benchDeepMultiServer measures the multi-server deep solves the service
+// spends its cold-solve time in: the twelve-station VINS testbed model
+// (three 16-core CPUs) to N=10⁴ at stride 50, through Algorithm 2 with
+// constant demands and Algorithm 3 with demands interpolated from seven
+// Chebyshev-node samples, the way solverd builds them from a request.
+// Alongside ns per population, each records the allocations of the steps
+// between stored rows, which must stay at zero.
+func benchDeepMultiServer(b *testing.B) {
+	const maxN, stride = 10_000, 50
+	prof := testbed.VINS()
+	m := prof.Model(1)
+	nodes, err := chebyshev.IntegerNodesOn(1, float64(prof.MaxUsers), 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	samples := make([]core.DemandSamples, len(m.Stations))
+	for _, n := range nodes {
+		for k, d := range prof.TrueDemands(n) {
+			samples[k].At = append(samples[k].At, float64(n))
+			samples[k].Demands = append(samples[k].Demands, d)
+		}
+	}
+	dm, err := core.NewCurveDemands(interp.CubicNotAKnot, samples, interp.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	makers := []struct {
+		name string
+		make func() (*core.Solver, error)
+	}{
+		{"multiserver", func() (*core.Solver, error) {
+			return core.NewMultiServerSolver(m, core.MultiServerOptions{TraceStation: -1})
+		}},
+		{"mvasd", func() (*core.Solver, error) { return core.NewMVASDSolver(m, dm, core.MVASDOptions{}) }},
+	}
+	for _, mk := range makers {
+		b.Run(fmt.Sprintf("%s/N%d", mk.name, maxN), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := mk.make()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := s.Decimate(stride); err != nil {
+					b.Fatal(err)
+				}
+				if err := s.Run(maxN); err != nil {
+					b.Fatal(err)
+				}
+				s.Release()
+			}
+			b.StopTimer()
+			nsPerPop := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(maxN)
+			s, err := mk.make()
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Release()
+			recordBenchAllocs(b, "ns_per_pop", nsPerPop, betweenRowAllocs(b, s, stride))
+		})
+	}
+}
+
+// TestDecimatedStepBetweenRowsAllocs pins the decimated multi-server step
+// between stored rows at zero allocations, with and without the server's
+// hooks installed.
+func TestDecimatedStepBetweenRowsAllocs(t *testing.T) {
+	m := testbed.VINS().Model(1)
+	dm := core.ConstantDemands(m.Demands())
+	for _, hooked := range []bool{false, true} {
+		for name, mk := range map[string]func() (*core.Solver, error){
+			"multiserver": func() (*core.Solver, error) {
+				return core.NewMultiServerSolver(m, core.MultiServerOptions{TraceStation: -1})
+			},
+			"mvasd": func() (*core.Solver, error) { return core.NewMVASDSolver(m, dm, core.MVASDOptions{}) },
+		} {
+			s, err := mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps := 0
+			if hooked {
+				s.SetHooks(&core.SolveHooks{OnStep: func(int, float64) { steps++ }})
+			}
+			if allocs := betweenRowAllocs(t, s, 50); allocs != 0 {
+				t.Errorf("%s (hooks %v): %.2f allocs per step between stored rows, want 0", name, hooked, allocs)
+			}
+			if hooked && steps == 0 {
+				t.Errorf("%s: OnStep never fired", name)
+			}
+			s.Release()
+		}
+	}
+}
+
+// betweenRowAllocs returns the allocations per population step between the
+// stored rows of a decimated run: a Run across one stride allocates only its
+// one stored row's checkpoint, which Solver.Checkpoint reproduces.
+func betweenRowAllocs(tb testing.TB, s *core.Solver, stride int) float64 {
+	const runs = 20
+	if err := s.Decimate(stride); err != nil {
+		tb.Fatal(err)
+	}
+	s.Reserve((runs + 2) * stride)
+	n := 0
+	perStride := testing.AllocsPerRun(runs, func() {
+		n += stride
+		if err := s.Run(n); err != nil {
+			tb.Fatal(err)
+		}
+	})
+	perCheckpoint := testing.AllocsPerRun(runs, func() {
+		if _, err := s.Checkpoint(); err != nil {
+			tb.Fatal(err)
+		}
+	})
+	return (perStride - perCheckpoint) / float64(stride-1)
 }
 
 // benchPostJSON posts a JSON body and drains the response.

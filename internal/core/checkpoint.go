@@ -39,14 +39,27 @@ type Checkpoint struct {
 	X float64
 }
 
-// cloneVecs deep-copies a [][]float64 (nil stays nil).
+// cloneVecs deep-copies a [][]float64 (nil stays nil) into one flat
+// backing array: two allocations per checkpoint instead of one per row.
+// Rows are capacity-limited, so appending to one cannot overwrite the next.
 func cloneVecs(src [][]float64) [][]float64 {
 	if src == nil {
 		return nil
 	}
+	total := 0
+	for _, row := range src {
+		total += len(row)
+	}
+	flat := make([]float64, total)
 	out := make([][]float64, len(src))
+	off := 0
 	for i, row := range src {
-		out[i] = append([]float64(nil), row...)
+		if len(row) == 0 {
+			continue // an empty row stays nil, as a row-by-row copy leaves it
+		}
+		end := off + copy(flat[off:], row)
+		out[i] = flat[off:end:end]
+		off = end
 	}
 	return out
 }

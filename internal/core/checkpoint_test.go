@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"testing"
 
 	"repro/internal/interp"
@@ -223,4 +225,86 @@ func TestRestoreResultRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	compareTrajectories(t, src.Result(), dst.Result())
+}
+
+// TestCloneVecsFlat: a checkpoint's marginal rows share one flat backing
+// array yet behave like independent row copies — same values and JSON,
+// empty rows nil, and no row can grow into its neighbour.
+func TestCloneVecsFlat(t *testing.T) {
+	src := [][]float64{{1, 0.5, 0.25}, {}, nil, {2}, {3, 4}}
+	got := cloneVecs(src)
+	want := make([][]float64, len(src))
+	for i, row := range src {
+		want[i] = append([]float64(nil), row...)
+	}
+	gj, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wj, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gj, wj) {
+		t.Fatalf("flat clone JSON %s, row-by-row %s", gj, wj)
+	}
+	src[0][0] = 9
+	if got[0][0] != 1 {
+		t.Fatal("clone shares memory with its source")
+	}
+	for i, row := range got {
+		if cap(row) != len(row) {
+			t.Fatalf("row %d has spare capacity %d", i, cap(row)-len(row))
+		}
+	}
+	_ = append(got[3], 7)
+	if got[4][0] != 3 {
+		t.Fatal("appending to a row overwrote the next")
+	}
+	if cloneVecs(nil) != nil {
+		t.Fatal("nil clone is not nil")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { cloneVecs(src) }); allocs != 2 {
+		t.Fatalf("clone allocates %.0f times, want 2", allocs)
+	}
+}
+
+// TestLoadDependentCheckpointClearsPooledData: the load-dependent solver's
+// marginal rows grow into pooled capacity, and a delay station's row is
+// never updated, so a checkpoint must not ship what a pooled vector held.
+func TestLoadDependentCheckpointClearsPooledData(t *testing.T) {
+	m := checkpointModel()
+	for i := 0; i < 2*len(m.Stations); i++ {
+		dirty := make([]float64, 64)
+		for j := range dirty {
+			dirty[j] = 7
+		}
+		putVec(dirty)
+	}
+	s, err := NewLoadDependentSolver(m, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Release()
+	if err := s.Run(30); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, st := range m.Stations {
+		if st.Kind != queueing.Delay {
+			continue
+		}
+		row := cp.Marginal[k]
+		if len(row) != 31 || row[0] != 1 {
+			t.Fatalf("delay row %d: len %d, p(0) %g", k, len(row), row[0])
+		}
+		for j, v := range row[1:] {
+			if v != 0 {
+				t.Fatalf("delay row %d holds %g at %d, want 0", k, v, j+1)
+			}
+		}
+	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 )
@@ -148,6 +150,106 @@ func TestDecimatedRecoverSkippedRows(t *testing.T) {
 				t.Fatalf("unordered recover: err=%v", err)
 			}
 		})
+	}
+}
+
+// TestDecimatedCancelKeepsFilledFrontier cancels a decimated run between
+// stored rows. The frontier population it advanced through must come back as
+// a complete final row — Little's law holds, utilizations are in [0, 1], and
+// it is bit-identical to the dense solve — in Result() and in the published
+// PrefixPop(SolvedN) snapshot, with a checkpoint beside it; resuming must
+// then store the same rows as an uncancelled run.
+func TestDecimatedCancelKeepsFilledFrontier(t *testing.T) {
+	m := solverTestModel()
+	const cutN, stride, maxN = 1234, 100, 2000
+	for name, alg := range solverAlgorithms(t, m) {
+		t.Run(name, func(t *testing.T) {
+			dense := alg.cold(cutN)
+			ref := alg.fresh()
+			defer ref.Release()
+			if err := ref.Decimate(stride); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.Run(maxN); err != nil {
+				t.Fatal(err)
+			}
+
+			s := alg.fresh()
+			defer s.Release()
+			if err := s.Decimate(stride); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			s.SetHooks(&SolveHooks{OnStep: func(n int, _ float64) {
+				if n == cutN {
+					cancel()
+				}
+			}})
+			if err := s.RunContext(ctx, maxN); !errors.Is(err, context.Canceled) {
+				t.Fatalf("want context.Canceled, got %v", err)
+			}
+			s.SetHooks(nil)
+			if s.N() != cutN {
+				t.Fatalf("N() = %d after cancelling at %d", s.N(), cutN)
+			}
+			res := s.Result()
+			snap, err := res.PrefixPop(res.SolvedN())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for view, r := range map[string]*Result{"Result()": res, "PrefixPop(SolvedN)": snap} {
+				last := r.Len() - 1
+				if r.N[last] != cutN {
+					t.Fatalf("%s: last stored population %d, want the frontier %d", view, r.N[last], cutN)
+				}
+				sumQ := r.X[last] * m.ThinkTime
+				for k, q := range r.QueueLen[last] {
+					sumQ += q
+					if u := r.Util[last][k]; !(u >= 0 && u <= 1) {
+						t.Fatalf("%s: station %d utilization %v outside [0, 1]", view, k, u)
+					}
+				}
+				if math.Abs(sumQ-cutN) > 1e-9*cutN {
+					t.Fatalf("%s: ΣQ + X·Z = %v, want %d", view, sumQ, cutN)
+				}
+				rowsEqual(t, r, last, dense, cutN-1)
+				if len(r.Checkpoints) != r.Len() || r.Checkpoints[last].N != cutN {
+					t.Fatalf("%s: %d checkpoints for %d rows", view, len(r.Checkpoints), r.Len())
+				}
+			}
+
+			if err := s.Run(maxN); err != nil {
+				t.Fatal(err)
+			}
+			for i, n := range res.N {
+				if n == cutN {
+					continue
+				}
+				j := ref.Result().IndexOf(n)
+				if j < 0 {
+					t.Fatalf("resumed run stored population %d, which the uncancelled run did not", n)
+				}
+				rowsEqual(t, res, i, ref.Result(), j)
+			}
+			if res.Len() != ref.Result().Len()+1 {
+				t.Fatalf("resumed run stored %d rows, want %d plus the cancelled frontier", res.Len(), ref.Result().Len())
+			}
+		})
+	}
+}
+
+// rowsEqual fails unless row i of a and row j of b are bit-identical.
+func rowsEqual(t *testing.T, a *Result, i int, b *Result, j int) {
+	t.Helper()
+	if a.N[i] != b.N[j] || a.X[i] != b.X[j] || a.R[i] != b.R[j] || a.Cycle[i] != b.Cycle[j] {
+		t.Fatalf("n=%d: scalars differ from n=%d: X %v/%v R %v/%v", a.N[i], b.N[j], a.X[i], b.X[j], a.R[i], b.R[j])
+	}
+	for k := range a.StationNames {
+		if a.QueueLen[i][k] != b.QueueLen[j][k] || a.Util[i][k] != b.Util[j][k] ||
+			a.Residence[i][k] != b.Residence[j][k] || a.Demands[i][k] != b.Demands[j][k] {
+			t.Fatalf("n=%d station %d metrics differ", a.N[i], k)
+		}
 	}
 }
 

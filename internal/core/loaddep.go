@@ -41,8 +41,9 @@ type loadDepStepper struct {
 func (s *loadDepStepper) step(res *Result, n, row int, _ func(int) error, _ *SolveHooks) error {
 	m, demands, p := s.m, s.demands, s.p
 	// Make room for index n in every marginal row. The newly exposed slot
-	// may hold stale pool data, which is fine: the W sum reads only indices
-	// < n, and the tail-down update writes p[i][n] before anything reads it.
+	// of pooled capacity may hold stale data: the tail-down update
+	// overwrites it for queueing stations, but a delay station's row is
+	// never updated and is still shipped in checkpoints, so clear it.
 	for k := range p {
 		if cap(p[k]) <= n {
 			grown := make([]float64, n+1, 2*(n+1))
@@ -50,6 +51,7 @@ func (s *loadDepStepper) step(res *Result, n, row int, _ func(int) error, _ *Sol
 			p[k] = grown
 		} else {
 			p[k] = p[k][:n+1]
+			p[k][n] = 0
 		}
 	}
 	// Physical throughput cap at this population: no station can complete
@@ -101,9 +103,6 @@ func (s *loadDepStepper) step(res *Result, n, row int, _ func(int) error, _ *Sol
 	}
 	for i, st := range m.Stations {
 		if st.Kind == queueing.Delay {
-			res.QueueLen[row][i] = x * demands[i]
-			res.Util[row][i] = 0
-			res.Demands[row][i] = demands[i]
 			continue
 		}
 		// Update the marginal distribution from the tail down so the
@@ -128,14 +127,28 @@ func (s *loadDepStepper) step(res *Result, n, row int, _ func(int) error, _ *Sol
 		} else {
 			p[i][0] = 1 - sum
 		}
-		res.QueueLen[row][i] = x * resid[i]
-		res.Util[row][i] = minf(x*demands[i]/float64(st.Servers), 1)
-		res.Demands[row][i] = demands[i]
 	}
 	res.X[row] = x
 	res.R[row] = rTotal
 	res.Cycle[row] = rTotal + m.ThinkTime
 	return nil
+}
+
+// fill derives the queue lengths from the step's (possibly capacity-scaled)
+// residence times; delay stations hold X·D_k.
+func (s *loadDepStepper) fill(res *Result, row int) {
+	x, resid := res.X[row], res.Residence[row]
+	for i, st := range s.m.Stations {
+		d := s.demands[i]
+		if st.Kind == queueing.Delay {
+			res.QueueLen[row][i] = x * d
+			res.Util[row][i] = 0
+		} else {
+			res.QueueLen[row][i] = x * resid[i]
+			res.Util[row][i] = minf(x*d/float64(st.Servers), 1)
+		}
+		res.Demands[row][i] = d
+	}
 }
 
 func (s *loadDepStepper) release() {

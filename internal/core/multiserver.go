@@ -14,9 +14,19 @@ import (
 // marginal queue-size probabilities p_k(j), j = 1..C_k, where p_k(j)
 // approximates the probability that j−1 customers are present at station k
 // (so p_k(1) starts at 1 for the empty network).
+//
+// f carries the correction factor alongside the probabilities it is derived
+// from, so a step reads it instead of re-summing P_k: it is recomputed,
+// always in the same summation order, after every update of p[k]. u[k] is
+// the utilization X·D_k that produced p[k] through the closed-form update
+// (NaN when p[k] came from anywhere else), so a step whose utilization is
+// bit-for-bit unchanged — common past the knee, where X settles — skips the
+// update: the closed form makes P_k a function of u alone.
 type multiServerState struct {
 	queue []float64   // Q_k
 	p     [][]float64 // p[k][j-1] = p_k(j), length C_k
+	f     []float64   // F_k = Σ_{m=0..C−1}(C−1−m)·P_k(m), kept in step with p
+	u     []float64   // utilization behind the closed-form p[k], or NaN
 
 	// Per-step invariants hoisted out of the hot loop (see stationConsts):
 	// the MVASD fixed point re-runs multiServerStep many times per
@@ -33,6 +43,8 @@ func newMultiServerState(m *queueing.Model) *multiServerState {
 	s := &multiServerState{
 		queue:    getVec(k),
 		p:        make([][]float64, k),
+		f:        getVec(k),
+		u:        getVec(k),
 		servers:  make([]int, k),
 		serversF: getVec(k),
 		delay:    make([]bool, k),
@@ -44,16 +56,39 @@ func newMultiServerState(m *queueing.Model) *multiServerState {
 		s.serversF[i] = float64(st.Servers)
 		s.delay[i] = st.Kind == queueing.Delay
 	}
+	s.resetDerived()
 	return s
 }
 
 func (s *multiServerState) release() {
 	putVec(s.queue)
 	putVec(s.serversF)
-	s.queue, s.serversF, s.servers, s.delay = nil, nil, nil, nil
+	putVec(s.f)
+	putVec(s.u)
+	s.queue, s.serversF, s.servers, s.delay, s.f, s.u = nil, nil, nil, nil, nil, nil
 	for k := range s.p {
 		putVec(s.p[k])
 		s.p[k] = nil
+	}
+}
+
+// refreshF recomputes F_k from p[k]. The summation order is part of the
+// recursion's float bits; keep it.
+func (s *multiServerState) refreshF(k int) {
+	c, p := s.serversF[k], s.p[k]
+	f := 0.0
+	for mIdx := 0; mIdx < s.servers[k] && mIdx < len(p); mIdx++ {
+		f += (c - 1 - float64(mIdx)) * p[mIdx]
+	}
+	s.f[k] = f
+}
+
+// resetDerived rebuilds f from p and forgets every cached utilization, for
+// probabilities that did not come from this state's own closed-form update.
+func (s *multiServerState) resetDerived() {
+	for k := range s.p {
+		s.refreshF(k)
+		s.u[k] = math.NaN()
 	}
 }
 
@@ -62,9 +97,24 @@ func (s *multiServerState) release() {
 // a step from the same pre-step state without allocating a clone).
 func (s *multiServerState) copyFrom(src *multiServerState) {
 	copy(s.queue, src.queue)
+	copy(s.f, src.f)
+	copy(s.u, src.u)
 	for k := range s.p {
 		copy(s.p[k], src.p[k])
 	}
+}
+
+// restore overwrites the recursion state from a checkpoint, validating
+// shapes.
+func (s *multiServerState) restore(cp *Checkpoint) error {
+	if err := copyQueue(s.queue, cp.Queue); err != nil {
+		return err
+	}
+	if err := copyInto(s.p, cp.Marginal); err != nil {
+		return err
+	}
+	s.resetDerived()
+	return nil
 }
 
 // MultiServerOptions tunes Algorithm 2 / Algorithm 3 behaviour.
@@ -102,9 +152,10 @@ type MultiServerOptions struct {
 // st.p[k][m] holds P_k(m | n−1), the marginal probability of m customers at
 // station k.
 func multiServerStep(m *queueing.Model, st *multiServerState, demands []float64, n int, verbatim bool, resid []float64) (x, rTotal float64) {
-	queue, delay, servers, serversF := st.queue, st.delay, st.servers, st.serversF
+	queue, delay, servers, serversF, fk, uk := st.queue, st.delay, st.servers, st.serversF, st.f, st.u
 	kk := len(queue)
-	if len(delay) < kk || len(servers) < kk || len(serversF) < kk || len(resid) < kk || len(demands) < kk {
+	if len(delay) < kk || len(servers) < kk || len(serversF) < kk || len(fk) < kk || len(uk) < kk ||
+		len(resid) < kk || len(demands) < kk {
 		return 0, 0 // construction guarantees matching shapes; keep BCE honest
 	}
 	for k := 0; k < kk; k++ {
@@ -113,16 +164,10 @@ func multiServerStep(m *queueing.Model, st *multiServerState, demands []float64,
 			rTotal += resid[k]
 			continue
 		}
-		c := serversF[k]
-		// Correction factor F_k = Σ_{j=1..C}(C−j)·p_k(j) in paper indexing,
-		// = Σ_{m=0..C−1}(C−1−m)·P_k(m) here.
-		f := 0.0
-		p := st.p[k]
-		for mIdx := 0; mIdx < servers[k] && mIdx < len(p); mIdx++ {
-			f += (c - 1 - float64(mIdx)) * p[mIdx]
-		}
-		// R_k = (D_k/C_k)(1 + Q_k + F_k)   (paper eq. 10 in demand form)
-		resid[k] = demands[k] / c * (1 + queue[k] + f)
+		// R_k = (D_k/C_k)(1 + Q_k + F_k)   (paper eq. 10 in demand form),
+		// with the correction factor F_k = Σ_{j=1..C}(C−j)·p_k(j) in paper
+		// indexing carried in st.f.
+		resid[k] = demands[k] / serversF[k] * (1 + queue[k] + fk[k])
 		rTotal += resid[k]
 	}
 	x = float64(n) / (rTotal + m.ThinkTime)
@@ -147,8 +192,15 @@ func multiServerStep(m *queueing.Model, st *multiServerState, demands []float64,
 			for j := 2; j <= servers[k]; j++ {
 				p[j-1] = u / float64(j) * p[j-2]
 			}
+			st.refreshF(k)
 			continue
 		}
+		// Compared by bits, so a signed zero or NaN never reuses a P_k
+		// computed from a different value.
+		if math.Float64bits(u) == math.Float64bits(uk[k]) {
+			continue
+		}
+		uk[k] = u
 		// Suri–Sahu–Vernon, solved in closed form: the self-consistent
 		// solution of P(j) = (u/j)·P(j−1), j = 1..C−1, together with
 		// P(0) = 1 − (1/C)[u + Σ_{j=1..C−1}(C−j)·P(j)] is
@@ -163,6 +215,7 @@ func multiServerStep(m *queueing.Model, st *multiServerState, demands []float64,
 			for mIdx := range p {
 				p[mIdx] = 0
 			}
+			st.refreshF(k)
 			continue
 		}
 		// Fused: one pass stores the factorial terms u^j/j! in place while
@@ -180,6 +233,7 @@ func multiServerStep(m *queueing.Model, st *multiServerState, demands []float64,
 		for j := 1; j < servers[k]; j++ {
 			p[j] *= p0
 		}
+		st.refreshF(k)
 	}
 	return x, rTotal
 }
@@ -206,11 +260,15 @@ type multiServerStepper struct {
 
 func (s *multiServerStepper) step(res *Result, n, row int, _ func(int) error, _ *SolveHooks) error {
 	x, rTotal := multiServerStep(s.m, s.st, s.demands, n, s.verbatim, res.Residence[row])
-	commitRow(res, s.m, row, x, rTotal, s.demands, s.st)
+	setRowTotals(res, s.m, row, x, rTotal)
 	if s.trace != nil {
 		s.trace.P = append(s.trace.P, append([]float64(nil), s.st.p[s.traceAt]...))
 	}
 	return nil
+}
+
+func (s *multiServerStepper) fill(res *Result, row int) {
+	fillMultiServerRow(res, s.m, row, s.st.queue, s.demands)
 }
 
 func (s *multiServerStepper) release() {
@@ -228,10 +286,7 @@ func (s *multiServerStepper) restore(cp *Checkpoint) error {
 	if s.trace != nil {
 		return fmt.Errorf("%w: cannot restore a marginal-tracing solver", ErrBadRun)
 	}
-	if err := copyQueue(s.st.queue, cp.Queue); err != nil {
-		return err
-	}
-	return copyInto(s.st.p, cp.Marginal)
+	return s.st.restore(cp)
 }
 
 // NewMultiServerSolver returns a resumable Algorithm-2 solver for m. When
@@ -290,13 +345,19 @@ func exactMVAMultiServer(ctx context.Context, m *queueing.Model, maxN int, opts 
 	return res, trace, nil
 }
 
-// commitRow records one population step into result row i.
-func commitRow(res *Result, m *queueing.Model, i int, x, rTotal float64, demands []float64, st *multiServerState) {
+// setRowTotals records a population step's system-level metrics into row i.
+func setRowTotals(res *Result, m *queueing.Model, i int, x, rTotal float64) {
 	res.X[i] = x
 	res.R[i] = rTotal
 	res.Cycle[i] = rTotal + m.ThinkTime
+}
+
+// fillMultiServerRow writes the queue lengths, per-server utilizations and
+// demands of the step stored in row i.
+func fillMultiServerRow(res *Result, m *queueing.Model, i int, queue, demands []float64) {
+	x := res.X[i]
 	for k, stn := range m.Stations {
-		res.QueueLen[i][k] = st.queue[k]
+		res.QueueLen[i][k] = queue[k]
 		if stn.Kind == queueing.Delay {
 			res.Util[i][k] = 0
 		} else {

@@ -63,10 +63,10 @@ type exactStepper struct {
 }
 
 func (e *exactStepper) step(res *Result, n, row int, _ func(int) error, _ *SolveHooks) error {
-	demands, delay, serversF, q := e.c.demands, e.c.delay, e.c.serversF, e.q
+	demands, delay, q := e.c.demands, e.c.delay, e.q
 	resid := res.Residence[row]
 	k := len(demands)
-	if len(q) < k || len(delay) < k || len(serversF) < k || len(resid) < k {
+	if len(q) < k || len(delay) < k || len(resid) < k {
 		return fmt.Errorf("%w: exact stepper state shape mismatch", ErrBadRun)
 	}
 	rTotal := 0.0
@@ -79,14 +79,29 @@ func (e *exactStepper) step(res *Result, n, row int, _ func(int) error, _ *Solve
 		rTotal += rv
 	}
 	x := float64(n) / (rTotal + e.z)
-	qRow, uRow, dRow := res.QueueLen[row], res.Util[row], res.Demands[row]
-	if len(qRow) < k || len(uRow) < k || len(dRow) < k {
-		return fmt.Errorf("%w: result row shape mismatch", ErrBadRun)
-	}
 	for i := 0; i < k; i++ {
-		qi := x * resid[i]
-		q[i] = qi
-		qRow[i] = qi
+		q[i] = x * resid[i]
+	}
+	res.X[row] = x
+	res.R[row] = rTotal
+	res.Cycle[row] = rTotal + e.z
+	return nil
+}
+
+func (e *exactStepper) fill(res *Result, row int) {
+	fillConstRow(res, row, &e.c, e.q)
+}
+
+// fillConstRow writes the queue lengths q, the per-server utilizations and
+// the demands of a constant-demand step into row.
+func fillConstRow(res *Result, row int, c *stationConsts, q []float64) {
+	demands := c.demands
+	k := len(demands)
+	delay, serversF, q := c.delay[:k], c.serversF[:k], q[:k]
+	qRow, uRow, dRow := res.QueueLen[row][:k], res.Util[row][:k], res.Demands[row][:k]
+	x := res.X[row]
+	for i := 0; i < k; i++ {
+		qRow[i] = q[i]
 		u := 0.0
 		if !delay[i] {
 			u = x * demands[i] / serversF[i]
@@ -97,10 +112,6 @@ func (e *exactStepper) step(res *Result, n, row int, _ func(int) error, _ *Solve
 		uRow[i] = u
 		dRow[i] = demands[i]
 	}
-	res.X[row] = x
-	res.R[row] = rTotal
-	res.Cycle[row] = rTotal + e.z
-	return nil
 }
 
 func (e *exactStepper) release() {
@@ -204,10 +215,10 @@ type schweitzerStepper struct {
 }
 
 func (s *schweitzerStepper) step(res *Result, n, row int, _ func(int) error, hooks *SolveHooks) error {
-	demands, delay, serversF, q := s.c.demands, s.c.delay, s.c.serversF, s.q
+	demands, delay, q := s.c.demands, s.c.delay, s.q
 	k := len(demands)
 	resid := res.Residence[row]
-	if len(q) < k || len(delay) < k || len(serversF) < k || len(resid) < k {
+	if len(q) < k || len(delay) < k || len(resid) < k {
 		return fmt.Errorf("%w: schweitzer stepper state shape mismatch", ErrBadRun)
 	}
 	if !s.primed {
@@ -256,26 +267,14 @@ func (s *schweitzerStepper) step(res *Result, n, row int, _ func(int) error, hoo
 	if !converged {
 		return fmt.Errorf("%w: schweitzer did not converge at n=%d", ErrBadRun, n)
 	}
-	qRow, uRow, dRow := res.QueueLen[row], res.Util[row], res.Demands[row]
-	if len(qRow) < k || len(uRow) < k || len(dRow) < k {
-		return fmt.Errorf("%w: result row shape mismatch", ErrBadRun)
-	}
-	for i := 0; i < k; i++ {
-		qRow[i] = q[i]
-		u := 0.0
-		if !delay[i] {
-			u = x * demands[i] / serversF[i]
-			if u > 1 {
-				u = 1
-			}
-		}
-		uRow[i] = u
-		dRow[i] = demands[i]
-	}
 	res.X[row] = x
 	res.R[row] = rTotal
 	res.Cycle[row] = rTotal + s.z
 	return nil
+}
+
+func (s *schweitzerStepper) fill(res *Result, row int) {
+	fillConstRow(res, row, &s.c, s.q)
 }
 
 func (s *schweitzerStepper) release() {

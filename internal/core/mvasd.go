@@ -68,7 +68,7 @@ func (s *mvasdStepper) step(res *Result, n, row int, stop func(int) error, hooks
 			demands[k] = dm.DemandAt(k, n, 0)
 		}
 		xn, rTotal := multiServerStep(m, s.st, demands, n, s.opts.Verbatim, res.Residence[row])
-		commitRow(res, m, row, xn, rTotal, demands, s.st)
+		setRowTotals(res, m, row, xn, rTotal)
 		s.x = xn
 		return nil
 	}
@@ -100,7 +100,7 @@ func (s *mvasdStepper) step(res *Result, n, row int, stop func(int) error, hooks
 		resid = math.Abs(xn-guess) / math.Max(guess, 1e-12)
 		if math.Abs(xn-guess) <= s.opts.FixedPointTol*math.Max(guess, 1e-12) {
 			s.st, s.trial = s.trial, s.st
-			commitRow(res, m, row, xn, rTotal, demands, s.st)
+			setRowTotals(res, m, row, xn, rTotal)
 			s.x = xn
 			hooks.fixedPoint(n, iter+1, resid, true)
 			return nil
@@ -109,6 +109,12 @@ func (s *mvasdStepper) step(res *Result, n, row int, stop func(int) error, hooks
 	}
 	hooks.fixedPoint(n, s.opts.FixedPointMaxIter, resid, false)
 	return fmt.Errorf("%w: demand/throughput fixed point did not converge at n=%d", ErrBadRun, n)
+}
+
+// fill reads the demands of the step just committed: a throughput-mode
+// step leaves the converged iteration's demands in s.dems.
+func (s *mvasdStepper) fill(res *Result, row int) {
+	fillMultiServerRow(res, s.m, row, s.st.queue, s.dems)
 }
 
 func (s *mvasdStepper) release() {
@@ -127,10 +133,7 @@ func (s *mvasdStepper) checkpoint(cp *Checkpoint) {
 }
 
 func (s *mvasdStepper) restore(cp *Checkpoint) error {
-	if err := copyQueue(s.st.queue, cp.Queue); err != nil {
-		return err
-	}
-	if err := copyInto(s.st.p, cp.Marginal); err != nil {
+	if err := s.st.restore(cp); err != nil {
 		return err
 	}
 	s.x = cp.X
@@ -213,20 +216,17 @@ func (s *mvasdSingleStepper) step(res *Result, n, row int, _ func(int) error, _ 
 		rTotal += resid[i]
 	}
 	x := float64(n) / (rTotal + m.ThinkTime)
-	for i, stn := range m.Stations {
+	for i := range q {
 		q[i] = x * resid[i]
-		res.QueueLen[row][i] = q[i]
-		if stn.Kind == queueing.Delay {
-			res.Util[row][i] = 0
-		} else {
-			res.Util[row][i] = math.Min(x*demands[i]/float64(stn.Servers), 1)
-		}
-		res.Demands[row][i] = demands[i]
 	}
 	res.X[row] = x
 	res.R[row] = rTotal
 	res.Cycle[row] = rTotal + m.ThinkTime
 	return nil
+}
+
+func (s *mvasdSingleStepper) fill(res *Result, row int) {
+	fillMultiServerRow(res, s.m, row, s.q, s.dems)
 }
 
 func (s *mvasdSingleStepper) release() {

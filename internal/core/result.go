@@ -170,6 +170,12 @@ func (r *Result) reserve(n int) {
 	r.uFlat, r.uRows = grow(r.uFlat)
 	r.resFlat, r.resRows = grow(r.resFlat)
 	r.dFlat, r.dRows = grow(r.dFlat)
+	if r.stride > 1 {
+		// Every stored row of a decimated trajectory carries a checkpoint.
+		cps := make([]*Checkpoint, len(r.Checkpoints), newCap)
+		copy(cps, r.Checkpoints)
+		r.Checkpoints = cps
+	}
 
 	r.capRows = newCap
 	r.reslice(rows)

@@ -6,17 +6,22 @@ import (
 )
 
 // stepper is the per-population step of one MVA variant. step solves
-// population n into result row i (earlier rows are already committed,
-// res.Residence[i] and friends are ready to be filled) and mutates the
-// stepper's own recursion state only on success, so a failed or cancelled
-// step can be retried. The row index is passed separately from n because a
-// decimated or chunked trajectory does not store row n-1 at index n-1.
-// stop is the per-step cancellation probe (nil when non-cancellable); only
-// steppers with inner fixed-point loops consult it. hooks is the solver's
-// observer (nil when uninstrumented); steppers with inner fixed points
-// report their iteration counts through it.
+// population n into result row i (earlier rows are already committed) and
+// mutates the stepper's own recursion state only on success, so a failed or
+// cancelled step can be retried. step writes only what every population
+// needs: X, R, Cycle and Residence (its scratch) of row i. fill writes the
+// rest of the row — QueueLen, Util and Demands — from the post-step state,
+// and runs only for rows the trajectory keeps, so a decimated run does not
+// fill the rows it discards. The row index is passed separately from n
+// because a decimated or chunked trajectory does not store row n-1 at index
+// n-1. stop is the per-step cancellation probe (nil when non-cancellable);
+// only steppers with inner fixed-point loops consult it. hooks is the
+// solver's observer (nil when uninstrumented); steppers with inner fixed
+// points report their iteration counts through it.
 type stepper interface {
 	step(res *Result, n, i int, stop func(int) error, hooks *SolveHooks) error
+	// fill completes row i after a successful step, before the next step.
+	fill(res *Result, i int)
 	// release returns pooled scratch. The stepper must not be used after.
 	release()
 	// checkpoint deep-copies the stepper's recursion state into cp (steppers
@@ -166,7 +171,9 @@ func (s *Solver) ResumeFrom(cp *Checkpoint) error {
 // Run solves the recursion up to population maxN. Populations already solved
 // are kept as-is; Run(maxN ≤ N()) is a no-op. Run is resumable: after an
 // error (including cancellation in RunContext) the completed prefix remains
-// valid and a later call continues from it.
+// valid and a later call continues from it. A decimated run cancelled between
+// populations stores its frontier as its final row, like any run's last
+// population; a step that fails stores nothing past the last kept row.
 func (s *Solver) Run(maxN int) error { return s.RunContext(context.Background(), maxN) }
 
 // Extend is Run, named for the resuming call site.
@@ -194,6 +201,12 @@ func (s *Solver) RunContext(ctx context.Context, maxN int) error {
 	for n := res.solvedN + 1; n <= maxN; n++ {
 		if stop != nil {
 			if err := stop(n); err != nil {
+				if res.staged {
+					// The staged row holds the frontier n-1, which no later
+					// step has touched yet: keep it as this run's final row,
+					// so the trajectory never exposes an unfilled row.
+					s.keep(n-1, len(res.N)-1, stride)
+				}
 				return err
 			}
 		}
@@ -204,18 +217,27 @@ func (s *Solver) RunContext(ctx context.Context, maxN int) error {
 		}
 		res.solvedN = n
 		if stride == 1 || n%stride == 0 || n == maxN {
-			res.commitStaged()
-			if stride > 1 {
-				cp := &Checkpoint{Algorithm: res.Algorithm, N: n}
-				s.alg.checkpoint(cp)
-				res.Checkpoints = append(res.Checkpoints, cp)
-			}
+			s.keep(n, i, stride)
 		}
 		if s.hooks != nil && s.hooks.OnStep != nil {
 			s.hooks.OnStep(n, res.xBuf[i])
 		}
 	}
 	return nil
+}
+
+// keep completes staged row i, which holds population n, and commits it:
+// fill writes the rest of the row from the post-step state, and a decimated
+// trajectory stores the recursion checkpoint beside every kept row.
+func (s *Solver) keep(n, i, stride int) {
+	res := s.res
+	s.alg.fill(res, i)
+	res.commitStaged()
+	if stride > 1 {
+		cp := &Checkpoint{Algorithm: res.Algorithm, N: n}
+		s.alg.checkpoint(cp)
+		res.Checkpoints = append(res.Checkpoints, cp)
+	}
 }
 
 // Release returns the solver's scratch state to the package pool. The

@@ -232,11 +232,12 @@ func (s *Server) runCached(ctx context.Context, cacheSpan *telemetry.Span, key s
 			defer s.inflight.remove(fl)
 			// steps/fpIters are plain ints: hooks fire synchronously on
 			// this goroutine, and anything heavier would cost the step
-			// path its 0 allocs/op guarantee.
+			// path its 0 allocs/op guarantee. The shared step counter is
+			// bumped once per run, not per population: concurrent solves
+			// would otherwise bounce its cache line on every step.
 			var steps, fpIters int
 			hooks := &core.SolveHooks{OnStep: func(n int, _ float64) {
 				steps++
-				s.metrics.stepPops.Add(1)
 				fl.cur.Store(int64(n))
 			}}
 			if strings.HasPrefix(alg, "mvasd") {
@@ -253,6 +254,7 @@ func (s *Server) runCached(ctx context.Context, cacheSpan *telemetry.Span, key s
 				s.testHookSolveStart(ctx)
 			}
 			runErr := sol.RunContext(ctx, maxN)
+			s.metrics.stepPops.Add(uint64(steps))
 			span.SetAttr("steps", steps)
 			if fpIters > 0 {
 				span.SetAttr("fp_iters", fpIters)

@@ -37,6 +37,7 @@ type serverMetrics struct {
 
 	// stepPops counts committed population steps across every solver run —
 	// the solver-side unit of work (a 1500-population cold solve adds 1500).
+	// Each run adds its count when it returns, cancelled runs included.
 	stepPops atomic.Uint64
 
 	// fpHist records MVASD demand/throughput fixed-point iteration counts;
@@ -140,7 +141,7 @@ func (m *serverMetrics) writePrometheus(w io.Writer, cacheEntries int, solves []
 	p.Counter("solverd_solve_extends_total", "Solver executions that resumed a cached trajectory.").Uint(m.solveExtends.Load())
 	p.Counter("solverd_peer_fill_restores_total", "Cold solves warm-started from a cluster peer's cached trajectory.").Uint(m.peerFillRestores.Load())
 	p.Gauge("solverd_in_flight_solves", "Solver runs executing right now.").Int(int(m.inFlight.Load()))
-	p.Counter("solverd_solve_step_populations_total", "Committed population steps across all solver runs.").Uint(m.stepPops.Load())
+	p.Counter("solverd_solve_step_populations_total", "Population steps across all solver runs, added when each run returns (cancelled runs included); solverd_solve_progress shows live progress.").Uint(m.stepPops.Load())
 
 	p.Histogram("solverd_mvasd_fixedpoint_iterations", "Iterations per MVASD demand/throughput fixed-point resolution.")
 	m.fpMu.Lock()

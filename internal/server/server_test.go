@@ -7,14 +7,17 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/modelio"
+	"repro/internal/promtest"
 	"repro/internal/queueing"
 )
 
@@ -452,4 +455,112 @@ func TestConcurrentIdenticalSolves(t *testing.T) {
 		t.Errorf("%d solver executions for 4 identical concurrent requests", leaders)
 	}
 	_ = fmt.Sprintf("%d", hits)
+}
+
+// TestStepPopulationsCounter runs concurrent solves, one cancelled by its
+// timeout mid-run, and checks that solverd_solve_step_populations_total
+// adds up every population each run advanced — the cancelled run's partial
+// steps included — although the counter is bumped once per run.
+func TestStepPopulationsCounter(t *testing.T) {
+	logs := &syncBuffer{}
+	logger := slog.New(slog.NewJSONHandler(logs, &slog.HandlerOptions{Level: slog.LevelDebug}))
+	_, ts := newTestServer(t, Config{Workers: 4, Logger: logger})
+	model := func(name string) *queueing.Model {
+		m := testModel()
+		m.Name = name
+		return m
+	}
+	complete := map[string]modelio.SolveRequest{
+		"steps-exact":       {Algorithm: modelio.AlgoExact, Model: model("steps-exact"), MaxN: 3000},
+		"steps-multiserver": {Model: model("steps-multiserver"), MaxN: 2000, Decimate: 50},
+		"steps-mvasd": {Algorithm: modelio.AlgoMVASD, Model: model("steps-mvasd"), Samples: testSamples(),
+			MaxN: 500, Decimate: 7},
+	}
+	const cancelledID = "steps-cancelled"
+	cancelled := modelio.SolveRequest{Model: model(cancelledID), MaxN: 1_000_000_000, Decimate: 100_000, TimeoutMS: 200}
+
+	var wg sync.WaitGroup
+	status := make(map[string]int)
+	var mu sync.Mutex
+	post := func(id string, req modelio.SolveRequest) {
+		defer wg.Done()
+		resp := postJSONWithHeader(t, ts.URL+"/v1/solve", id, req)
+		mu.Lock()
+		status[id] = resp.StatusCode
+		mu.Unlock()
+	}
+	want := 0
+	for id, req := range complete {
+		want += req.MaxN
+		wg.Add(1)
+		go post(id, req)
+	}
+	wg.Add(1)
+	go post(cancelledID, cancelled)
+	wg.Wait()
+	for id := range complete {
+		if status[id] != http.StatusOK {
+			t.Fatalf("%s: status %d", id, status[id])
+		}
+	}
+	if status[cancelledID] != http.StatusGatewayTimeout {
+		t.Fatalf("cancelled solve: status %d, want 504", status[cancelledID])
+	}
+
+	// Each run's own step count is on its solve span.
+	spanSteps := make(map[string]int)
+	for _, line := range strings.Split(logs.String(), "\n") {
+		var rec struct {
+			Msg   string `json:"msg"`
+			Span  string `json:"span"`
+			ID    string `json:"id"`
+			Steps *int   `json:"steps"`
+		}
+		if json.Unmarshal([]byte(line), &rec) != nil || rec.Msg != "span" || rec.Span != "solve" || rec.Steps == nil {
+			continue
+		}
+		spanSteps[rec.ID] += *rec.Steps
+	}
+	for id, req := range complete {
+		if spanSteps[id] != req.MaxN {
+			t.Errorf("%s: solve span reports %d steps, want %d", id, spanSteps[id], req.MaxN)
+		}
+	}
+	partial := spanSteps[cancelledID]
+	if partial <= 0 || partial >= cancelled.MaxN {
+		t.Fatalf("cancelled run advanced %d populations, want a partial run in (0, %d)", partial, cancelled.MaxN)
+	}
+	want += partial
+
+	_, metrics := getBody(t, ts.URL+"/metrics")
+	families := promtest.ParseExposition(t, metrics)
+	if got := promtest.SingleValue(t, families, "solverd_solve_step_populations_total"); got != float64(want) {
+		t.Fatalf("step populations = %g, want %d (%d of them from the cancelled run)", got, want, partial)
+	}
+
+	// The cancelled run published its frontier; serving it from the cache
+	// must return a complete final row.
+	cancelled.MaxN, cancelled.TimeoutMS = partial, 0
+	resp, body := postJSON(t, ts.URL+"/v1/solve", cancelled)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("frontier of the cancelled run: status %d: %s", resp.StatusCode, body)
+	}
+	var out modelio.SolveResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	tr := out.Trajectory
+	if !out.Cached || tr.N[len(tr.N)-1] != partial {
+		t.Fatalf("frontier reply: cached=%v, last population %d, want a hit at %d", out.Cached, tr.N[len(tr.N)-1], partial)
+	}
+	little := tr.X[len(tr.X)-1] * tr.ThinkTime
+	for k, q := range tr.FinalQueueLen {
+		little += q
+		if u := tr.FinalUtil[k]; !(u >= 0 && u <= 1) {
+			t.Fatalf("frontier finalUtil[%d] = %v", k, u)
+		}
+	}
+	if math.Abs(little-float64(partial)) > 1e-9*float64(partial) {
+		t.Fatalf("frontier row: ΣQ + X·Z = %v, want %d", little, partial)
+	}
 }
