@@ -585,3 +585,96 @@ func BenchmarkSolverSweepPlanned(b *testing.B) {
 	}
 	recordBench(b, "grid_points", float64(len(sweepPopulations)))
 }
+
+// benchSolveBodies are /v1/solve bodies shaped like solverbench's: the VINS
+// profile's single-user model, plain (multiserver) and with seven
+// Chebyshev-node demand samples per station (mvasd). fallback is the mvasd
+// body with its last key, maxN, spelled "MaxN": encoding/json accepts the
+// case-folded key, but the fast decoder leaves it only there, near the
+// body's end, so the entry bounds what a non-canonical body pays: one fast
+// attempt plus encoding/json.
+func benchSolveBodies(b *testing.B) map[string][]byte {
+	p := testbed.VINS()
+	model := p.Model(1)
+	pts, err := chebyshev.IntegerNodesOn(1, float64(p.MaxUsers), 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	arrays := make([]core.DemandSamples, len(model.Stations))
+	for k := range arrays {
+		arrays[k] = core.DemandSamples{At: make([]float64, len(pts)), Demands: make([]float64, len(pts))}
+	}
+	for j, n := range pts {
+		for k, d := range p.TrueDemands(n) {
+			arrays[k].At[j], arrays[k].Demands[j] = float64(n), d
+		}
+	}
+	samples, err := modelio.FromDemandSamples(model, arrays)
+	if err != nil {
+		b.Fatal(err)
+	}
+	marshal := func(r modelio.SolveRequest) []byte {
+		body, err := json.Marshal(r)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return body
+	}
+	mvasd := marshal(modelio.SolveRequest{Algorithm: modelio.AlgoMVASD, Model: model, Samples: samples, MaxN: 200})
+	return map[string][]byte{
+		"multiserver": marshal(modelio.SolveRequest{Algorithm: modelio.AlgoMultiServer, Model: model, MaxN: 200}),
+		"mvasd":       mvasd,
+		"fallback":    bytes.Replace(mvasd, []byte(`"maxN":`), []byte(`"MaxN":`), 1),
+	}
+}
+
+// BenchmarkSolverDecode measures decoding one /v1/solve body into a
+// request, the first layer of every solve.
+func BenchmarkSolverDecode(b *testing.B) {
+	bodies := benchSolveBodies(b)
+	for _, name := range []string{"multiserver", "mvasd", "fallback"} {
+		body := bodies[name]
+		b.Run(name, func(b *testing.B) {
+			decode := func() {
+				var req modelio.SolveRequest
+				if err := modelio.DecodeSolveRequest(body, &req); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				decode()
+			}
+			b.StopTimer()
+			recordBenchAllocs(b, "body_bytes", float64(len(body)), testing.AllocsPerRun(32, decode))
+		})
+	}
+}
+
+// BenchmarkSolverCacheKey measures hashing a normalized solve request into
+// its cache key, the layer between normalize and the cache lookup.
+func BenchmarkSolverCacheKey(b *testing.B) {
+	bodies := benchSolveBodies(b)
+	for _, name := range []string{"multiserver", "mvasd"} {
+		var req modelio.SolveRequest
+		if err := modelio.DecodeSolveRequest(bodies[name], &req); err != nil {
+			b.Fatal(err)
+		}
+		if err := req.Normalize(); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			key := func() {
+				if _, err := req.CacheKey(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				key()
+			}
+			b.StopTimer()
+			recordBenchAllocs(b, "stations", float64(len(req.Model.Stations)), testing.AllocsPerRun(32, key))
+		})
+	}
+}

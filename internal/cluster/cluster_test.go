@@ -46,7 +46,7 @@ func (n *testNode) kill(t *testing.T) {
 // startCluster boots n nodes on loopback listeners. Listeners are created
 // first so every node knows the full peer list before serving. tune may
 // adjust each node's cluster config before wiring.
-func startCluster(t *testing.T, n int, tune func(c *Config)) []*testNode {
+func startCluster(t testing.TB, n int, tune func(c *Config)) []*testNode {
 	t.Helper()
 	return startClusterTuned(t, n, tune, nil)
 }
@@ -54,7 +54,7 @@ func startCluster(t *testing.T, n int, tune func(c *Config)) []*testNode {
 // startClusterTuned is startCluster with a second hook adjusting each node's
 // server config (the admission tests arm the gate and the self-model; the
 // journal tests give each node its own event journal named after its addr).
-func startClusterTuned(t *testing.T, n int, tune func(c *Config), tuneSrv func(addr string, c *server.Config)) []*testNode {
+func startClusterTuned(t testing.TB, n int, tune func(c *Config), tuneSrv func(addr string, c *server.Config)) []*testNode {
 	t.Helper()
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	listeners := make([]net.Listener, n)

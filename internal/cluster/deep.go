@@ -254,14 +254,8 @@ func (g *Gateway) handleDeepChunk(w http.ResponseWriter, r *http.Request) {
 		g.local.WriteError(w, http.StatusForbidden, "cluster secret required")
 		return
 	}
-	body, err := readBody(w, r)
-	if err != nil {
-		g.local.WriteError(w, bodyStatus(err), err.Error())
-		return
-	}
 	var req modelio.DeepChunkRequest
-	if err := decodeStrict(body, &req); err != nil {
-		g.local.WriteError(w, bodyStatus(err), err.Error())
+	if _, ok := g.local.ReadRequest(w, r, &req); !ok {
 		return
 	}
 	if err := req.Validate(); err != nil {

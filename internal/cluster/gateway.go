@@ -1,13 +1,11 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"sort"
@@ -305,51 +303,15 @@ func (g *Gateway) trustedHop(r *http.Request) bool {
 	return subtle.ConstantTimeCompare([]byte(r.Header.Get(headerSecret)), []byte(g.cfg.Secret)) == 1
 }
 
-// maxBodyBytes mirrors the local server's request body cap.
-const maxBodyBytes = 8 << 20
-
-// readBody drains the request body under the cluster's own MaxBytesReader
-// (the gateway needs the raw bytes to forward verbatim).
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
-	return io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-}
-
-// bodyStatus maps a readBody/decode error to 413 or 400.
-func bodyStatus(err error) int {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return http.StatusRequestEntityTooLarge
-	}
-	return http.StatusBadRequest
-}
-
-// decodeStrict is the gateway-side twin of the server's strict decoding.
-func decodeStrict(body []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decoding request: %w", err)
-	}
-	if err := dec.Decode(&struct{}{}); err != io.EOF {
-		return errors.New("decoding request: trailing data after JSON body")
-	}
-	return nil
-}
-
 // handleSolve routes POST /v1/solve: a forwarded hop (or a key this node
 // owns) solves locally through the server engine; anything else forwards to
 // the key's owner with hedging, retries and breaker-aware failover, and
 // falls back to a local solve when every remote candidate fails — the
 // client never sees a 5xx for a routing-layer failure.
 func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r)
-	if err != nil {
-		g.local.WriteError(w, bodyStatus(err), err.Error())
-		return
-	}
 	var req modelio.SolveRequest
-	if err := decodeStrict(body, &req); err != nil {
-		g.local.WriteError(w, bodyStatus(err), err.Error())
+	body, ok := g.local.ReadRequest(w, r, &req)
+	if !ok {
 		return
 	}
 	if err := req.Normalize(); err != nil {
@@ -375,7 +337,7 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 	local := func() {
 		ctx, cancel := g.local.SolveContext(r.Context(), req.TimeoutMS)
 		defer cancel()
-		resp, err := g.local.Solve(ctx, &req)
+		resp, err := g.local.SolveKeyed(ctx, key, &req)
 		if err != nil {
 			g.local.WriteError(w, errStatus(err), err.Error())
 			return
@@ -402,14 +364,8 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 // so a grid's groups land on (and warm the caches of) their owners across
 // the fabric. Member rows are reassembled in grid order.
 func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r)
-	if err != nil {
-		g.local.WriteError(w, bodyStatus(err), err.Error())
-		return
-	}
 	var req modelio.SweepRequest
-	if err := decodeStrict(body, &req); err != nil {
-		g.local.WriteError(w, bodyStatus(err), err.Error())
+	if _, ok := g.local.ReadRequest(w, r, &req); !ok {
 		return
 	}
 	if err := req.Normalize(); err != nil {
@@ -611,14 +567,8 @@ func (g *Gateway) handleExport(w http.ResponseWriter, r *http.Request) {
 		g.local.WriteError(w, http.StatusForbidden, "cluster secret required")
 		return
 	}
-	body, err := readBody(w, r)
-	if err != nil {
-		g.local.WriteError(w, bodyStatus(err), err.Error())
-		return
-	}
 	var req modelio.ExportRequest
-	if err := decodeStrict(body, &req); err != nil {
-		g.local.WriteError(w, bodyStatus(err), err.Error())
+	if _, ok := g.local.ReadRequest(w, r, &req); !ok {
 		return
 	}
 	if err := req.Validate(); err != nil {

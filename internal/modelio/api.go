@@ -11,10 +11,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/interp"
@@ -159,64 +160,150 @@ func (r *SolveRequest) DemandModel() (core.DemandModel, error) {
 	return core.NewCurveDemands(interp.Method(r.Interp), samples, interp.Options{})
 }
 
-// cacheableSolve is the canonical key material: everything that changes the
-// solver's *recursion* or its stored geometry, and nothing that doesn't.
-// MaxN is deliberately excluded — the population recursion at n depends only
-// on n' < n, so one cached trajectory answers every request for the same
-// model at any maxN (serving smaller maxN from the prefix, extending in
-// place for larger). Timeout and the response-side Every bound work and
-// shape output, not the answer. Decimate IS keyed (when > 1): a decimated
-// entry stores different rows than a dense one, so letting the two share an
-// entry would poison dense prefix/extend hits with sparse trajectories.
-type cacheableSolve struct {
-	Algorithm string
-	Model     *queueing.Model
-	Samples   *SamplesFile `json:",omitempty"`
-	Interp    string
-	// DemandAxis is keyed only when it changes the recursion (throughput
-	// mode), so pre-existing concurrency-mode keys are unchanged.
-	DemandAxis string `json:",omitempty"`
-	// Decimate is keyed only when it changes the stored rows (> 1), so
-	// pre-existing dense keys are unchanged.
-	Decimate int `json:",omitempty"`
-}
+// The solve-cache key is a SHA-256 over a binary form of the request's key
+// material: everything that changes the solver's *recursion* or its stored
+// geometry, and nothing that doesn't. MaxN is deliberately excluded — the
+// population recursion at n depends only on n' < n, so one cached
+// trajectory answers every request for the same model at any maxN (serving
+// smaller maxN from the prefix, extending in place for larger). Timeout and
+// the response-side Every bound work and shape output, not the answer.
+// Decimate IS keyed (when > 1): a decimated entry stores different rows than
+// a dense one, so letting the two share an entry would poison dense
+// prefix/extend hits with sparse trajectories. Samples are keyed only for
+// sample-driven algorithms, and DemandAxis only in throughput mode, the one
+// axis that changes the recursion.
+//
+// The encoding, in order: the keyVersion tag; the algorithm; the model
+// (presence byte, then name, stations, think time); the samples (presence
+// byte, then stations); interp; the keyed demand axis; the keyed decimation.
+// Strings carry a uvarint length, slices a uvarint of length+1 (0 for nil),
+// floats their IEEE-754 bits, ints a zig-zag varint. Two requests get the
+// same bytes exactly when encoding/json would marshal the same fields to
+// the same text (the key's previous form), except that strings are compared
+// byte for byte where json.Marshal would fold invalid UTF-8 to U+FFFD.
+// Non-finite floats are rejected, as json.Marshal rejects them.
 
-// CacheKey returns a canonical hash of (algorithm, model, samples, interp) —
-// the solve-cache key. Requests that differ only in maxN share a key by
-// design (see cacheableSolve). Call Normalize first so defaulted and
-// explicitly spelled-out requests hash identically.
+// keyVersion tags the key material; change it whenever the encoding changes
+// so keys of different encodings can never collide.
+const keyVersion = "solve-key/v2\x00"
+
+// keyBufs recycles key material buffers; an mvasd request's runs to a few KB.
+var keyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// CacheKey returns the solve-cache key: the hex SHA-256 of the request's key
+// material (see keyVersion). Requests that differ only in maxN share a key
+// by design. Call Normalize first so defaulted and explicitly spelled-out
+// requests hash identically.
 func (r *SolveRequest) CacheKey() (string, error) {
-	b, err := r.keyBytes()
+	sum, err := r.keySum()
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
+	var h [2 * sha256.Size]byte
+	hex.Encode(h[:], sum[:])
+	return string(h[:]), nil
 }
 
-// keyBytes is the canonical serialization behind CacheKey.
-func (r *SolveRequest) keyBytes() ([]byte, error) {
-	c := cacheableSolve{
-		Algorithm: r.Algorithm,
-		Model:     r.Model,
-		Interp:    r.Interp,
+// keySum hashes the request's key material.
+func (r *SolveRequest) keySum() ([sha256.Size]byte, error) {
+	bp := keyBufs.Get().(*[]byte)
+	defer keyBufs.Put(bp)
+	b, err := r.appendKey((*bp)[:0])
+	*bp = b
+	if err != nil {
+		return [sha256.Size]byte{}, err
 	}
-	if r.Decimate > 1 {
-		c.Decimate = r.Decimate
+	return sha256.Sum256(b), nil
+}
+
+// appendKey appends the request's key material to b.
+func (r *SolveRequest) appendKey(b []byte) ([]byte, error) {
+	k := keyWriter{b: append(b, keyVersion...)}
+	k.string(r.Algorithm)
+	if k.present(r.Model != nil) {
+		k.string(r.Model.Name)
+		k.len(r.Model.Stations == nil, len(r.Model.Stations))
+		for _, st := range r.Model.Stations {
+			k.string(st.Name)
+			k.string(string(st.Kind))
+			k.int(st.Servers)
+			k.float(st.Visits)
+			k.float(st.ServiceTime)
+		}
+		k.float(r.Model.ThinkTime)
 	}
+	var samples *SamplesFile
+	axis := ""
 	if r.NeedsSamples() {
-		c.Samples = r.Samples
+		samples = r.Samples
 		if r.DemandAxis == AxisThroughput {
-			c.DemandAxis = r.DemandAxis
+			axis = r.DemandAxis
 		}
 	}
-	// encoding/json writes struct fields in declaration order and map-free
-	// types deterministically, so the encoding is canonical.
-	b, err := json.Marshal(c)
-	if err != nil {
-		return nil, fmt.Errorf("modelio: cache key: %w", err)
+	if k.present(samples != nil) {
+		k.len(samples.Stations == nil, len(samples.Stations))
+		for _, st := range samples.Stations {
+			k.string(st.Name)
+			k.floats(st.At)
+			k.floats(st.Demands)
+		}
 	}
-	return b, nil
+	k.string(r.Interp)
+	k.string(axis)
+	decimate := 0
+	if r.Decimate > 1 {
+		decimate = r.Decimate
+	}
+	k.int(decimate)
+	if k.bad {
+		return k.b, errors.New("modelio: cache key: unsupported value: non-finite float")
+	}
+	return k.b, nil
+}
+
+// keyWriter appends the key material's fields; bad records a non-finite
+// float.
+type keyWriter struct {
+	b   []byte
+	bad bool
+}
+
+func (k *keyWriter) present(ok bool) bool {
+	if ok {
+		k.b = append(k.b, 1)
+	} else {
+		k.b = append(k.b, 0)
+	}
+	return ok
+}
+
+func (k *keyWriter) len(isNil bool, n int) {
+	if isNil {
+		k.b = append(k.b, 0)
+		return
+	}
+	k.b = binary.AppendUvarint(k.b, uint64(n)+1)
+}
+
+func (k *keyWriter) string(s string) {
+	k.b = binary.AppendUvarint(k.b, uint64(len(s)))
+	k.b = append(k.b, s...)
+}
+
+func (k *keyWriter) int(n int) { k.b = binary.AppendVarint(k.b, int64(n)) }
+
+func (k *keyWriter) float(f float64) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		k.bad = true
+	}
+	k.b = binary.LittleEndian.AppendUint64(k.b, math.Float64bits(f))
+}
+
+func (k *keyWriter) floats(fs []float64) {
+	k.len(fs == nil, len(fs))
+	for _, f := range fs {
+		k.float(f)
+	}
 }
 
 // Trajectory is the compact solve output: the X(n)/R(n) curves plus the
@@ -298,6 +385,20 @@ func (t *Trajectory) AppendRecovered(row core.RecoveredRow) {
 	if row.X > t.MaxX {
 		t.MaxX, t.MaxXAt = row.X, row.N
 	}
+}
+
+// Finite reports whether every number the trajectory encodes is finite.
+// JSON has no NaN or ±Inf, and a model whose think time and demands sum to
+// zero, or whose values overflow float64, solves to them.
+func (t *Trajectory) Finite() bool {
+	for _, col := range [][]float64{t.X, t.R, t.Cycle, t.FinalUtil, t.FinalQueueLen} {
+		for _, v := range col {
+			if v-v != 0 { // NaN or ±Inf
+				return false
+			}
+		}
+	}
+	return t.MaxX-t.MaxX == 0
 }
 
 // SolveResponse is the POST /v1/solve reply.
@@ -490,11 +591,11 @@ type SweepKeyBase struct {
 // KeyBase canonicalizes the sweep's shared key material. Call after
 // Normalize.
 func (r *SweepRequest) KeyBase() (*SweepKeyBase, error) {
-	b, err := r.SolveRequest.keyBytes()
+	base, err := r.SolveRequest.keySum()
 	if err != nil {
 		return nil, err
 	}
-	return &SweepKeyBase{req: r, base: sha256.Sum256(b)}, nil
+	return &SweepKeyBase{req: r, base: base}, nil
 }
 
 // GroupKey returns the cache key of one planned group's solve. Keys are

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/modelio"
+	"repro/internal/queueing"
 )
 
 // ErrLimit wraps violations of the server's configured request caps (MaxN,
@@ -95,15 +96,27 @@ func (s *Server) checkMaxN(maxN, stride int) error {
 	return nil
 }
 
-// Solve answers one normalized solve request through the cache, in-flight
-// dedup and worker pool — the engine behind POST /v1/solve. The caller must
-// have called req.Normalize and should bound ctx with SolveContext.
+// Solve is SolveKeyed under req.CacheKey().
 func (s *Server) Solve(ctx context.Context, req *modelio.SolveRequest) (*modelio.SolveResponse, error) {
+	key, err := req.CacheKey()
+	if err != nil {
+		return nil, err
+	}
+	return s.SolveKeyed(ctx, key, req)
+}
+
+// SolveKeyed answers one normalized solve request through the cache,
+// in-flight dedup and worker pool — the engine behind POST /v1/solve. key
+// must be req.CacheKey(): callers that already hashed the request (the
+// handler, the cluster gateway's routing) pass their key so a node hashes
+// each body once. The caller must have called req.Normalize and should
+// bound ctx with SolveContext.
+func (s *Server) SolveKeyed(ctx context.Context, key string, req *modelio.SolveRequest) (*modelio.SolveResponse, error) {
 	if err := s.checkMaxN(req.MaxN, req.Decimate); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	res, e, hit, err := s.solveCached(ctx, req)
+	res, e, hit, err := s.solveWithKey(ctx, key, req)
 	if err != nil {
 		return nil, err
 	}
@@ -122,6 +135,10 @@ func (s *Server) Solve(ctx context.Context, req *modelio.SolveRequest) (*modelio
 		// A dense prefix hit replies with every stored row: AppendJSON
 		// copies their text from the entry's memo instead of re-formatting.
 		traj.SetRowText(e.rowText(req.MaxN))
+	}
+	if !traj.Finite() {
+		return nil, fmt.Errorf("%w: the solution is not finite (think time and demands sum to zero, or a value overflows)",
+			queueing.ErrInvalidModel)
 	}
 	return &modelio.SolveResponse{
 		Cached:     hit,

@@ -174,8 +174,7 @@ func (s *Server) writeEstimateMetrics(w io.Writer) error {
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req modelio.ObserveRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.WriteError(w, decodeStatus(err), err.Error())
+	if _, ok := s.ReadRequest(w, r, &req); !ok {
 		return
 	}
 	if err := req.Normalize(); err != nil {

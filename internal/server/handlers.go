@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -21,29 +20,55 @@ import (
 // is generous.
 const maxBodyBytes = 8 << 20
 
-// decodeBody strictly decodes the JSON request body into v. Bodies are
-// bounded by http.MaxBytesReader; an oversized body surfaces as
-// *http.MaxBytesError, which decodeStatus maps to 413.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("decoding request: %w", err)
+// ReadRequest reads r's whole body, capped at 8 MiB, and strictly decodes it
+// into v: a *modelio.SolveRequest through modelio.DecodeSolveRequest, any
+// other type through modelio.DecodeStrict. On failure it writes the error
+// reply — 413 for a body over the cap, 400 otherwise — and returns ok=false.
+// The body is returned for callers that forward it verbatim.
+func (s *Server) ReadRequest(w http.ResponseWriter, r *http.Request, v any) (body []byte, ok bool) {
+	body, err := readBody(w, r)
+	if err != nil {
+		err = fmt.Errorf("decoding request: %w", err)
+	} else if req, solve := v.(*modelio.SolveRequest); solve {
+		err = modelio.DecodeSolveRequest(body, req)
+	} else {
+		err = modelio.DecodeStrict(body, v)
 	}
-	if err := dec.Decode(&struct{}{}); err != io.EOF {
-		return errors.New("decoding request: trailing data after JSON body")
+	if err != nil {
+		code := http.StatusBadRequest
+		var mbe *http.MaxBytesError
+		if errors.As(err, &mbe) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		s.WriteError(w, code, err.Error())
+		return nil, false
 	}
-	return nil
+	return body, true
 }
 
-// decodeStatus maps a decodeBody error to its HTTP status: 413 for a body
-// over the MaxBytesReader cap, 400 for everything else.
-func decodeStatus(err error) int {
-	var mbe *http.MaxBytesError
-	if errors.As(err, &mbe) {
-		return http.StatusRequestEntityTooLarge
+// readBody reads the request body under http.MaxBytesReader into one buffer
+// sized from Content-Length (one byte over, so the final read sees EOF
+// without growing it).
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	size := int64(512)
+	if r.ContentLength >= 0 {
+		size = min(r.ContentLength, maxBodyBytes) + 1
 	}
-	return http.StatusBadRequest
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	b := make([]byte, 0, size)
+	for {
+		n, err := body.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+	}
 }
 
 // StatusOf is the exported error→status mapping for callers serving engine
@@ -112,21 +137,14 @@ func recoverFactory(req *modelio.SolveRequest) func() (*core.Solver, error) {
 	return func() (*core.Solver, error) { return newDenseSolverFor(req) }
 }
 
-// solveCached runs req through the prefix cache and the worker pool, keeping
-// the cache hit/miss counters and in-flight gauge. A lock-free prefix hit
-// also returns the cache entry that answered it (nil otherwise).
-func (s *Server) solveCached(ctx context.Context, req *modelio.SolveRequest) (res *core.Result, e *cacheEntry, hit bool, err error) {
-	key, err := req.CacheKey()
-	if err != nil {
-		return nil, nil, false, err
-	}
-	return s.solveWithKey(ctx, key, req)
-}
-
-// solveWithKey is solveCached with the cache key supplied by the caller
-// (sweeps derive per-group keys from a shared base instead of re-hashing the
-// model). The worker pool is acquired only inside the miss path, so requests
-// answered from a cached prefix never queue behind in-flight solves.
+// solveWithKey runs req through the prefix cache and the worker pool under
+// the caller's cache key (solves hash the request once per node; sweeps
+// derive per-group keys from a shared base instead of re-hashing the
+// model), keeping the cache hit/miss counters and in-flight gauge. A
+// lock-free prefix hit also returns the cache entry that answered it (nil
+// otherwise). The worker pool is acquired only inside the miss path, so
+// requests answered from a cached prefix never queue behind in-flight
+// solves.
 //
 // The request's trace (when present) gets a "cache" span covering the lookup
 // and any wait for the worker pool or a concurrent leader, a "solve" span
@@ -272,8 +290,7 @@ func (s *Server) runCached(ctx context.Context, cacheSpan *telemetry.Span, key s
 // Solve engine under the request-derived context.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	var req modelio.SolveRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.WriteError(w, decodeStatus(err), err.Error())
+	if _, ok := s.ReadRequest(w, r, &req); !ok {
 		return
 	}
 	if err := req.Normalize(); err != nil {
@@ -281,9 +298,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	telemetry.FromContext(r.Context()).SetAttr("algorithm", req.Algorithm)
+	key, err := req.CacheKey()
+	if err != nil {
+		s.WriteError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
 	ctx, cancel := s.requestContext(r, req.TimeoutMS)
 	defer cancel()
-	resp, err := s.Solve(ctx, &req)
+	resp, err := s.SolveKeyed(ctx, key, &req)
 	if err != nil {
 		s.WriteError(w, statusOf(err), err.Error())
 		return
@@ -295,8 +317,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 // Sweep for the grid planning and group fan-out.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req modelio.SweepRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.WriteError(w, decodeStatus(err), err.Error())
+	if _, ok := s.ReadRequest(w, r, &req); !ok {
 		return
 	}
 	if err := req.Normalize(); err != nil {
@@ -399,8 +420,7 @@ func pointResult(res *core.Result, req *modelio.SolveRequest, p modelio.GridPoin
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req modelio.PlanRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.WriteError(w, decodeStatus(err), err.Error())
+	if _, ok := s.ReadRequest(w, r, &req); !ok {
 		return
 	}
 	if err := req.Normalize(); err != nil {
