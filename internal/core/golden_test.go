@@ -35,6 +35,22 @@ func goldenModel() *queueing.Model {
 	return &queueing.Model{Name: "golden", ThinkTime: 1, Stations: st}
 }
 
+// goldenSaturatedModel drives one 16-core CPU to saturation: its per-server
+// demand is 2.5× that of the next-busiest station, so past the knee X·D_k
+// reaches C_k in float64 and the closed-form update takes its saturated
+// branch (P_k ≡ 0, F_k = 0).
+func goldenSaturatedModel() *queueing.Model {
+	st := []queueing.Station{
+		{Name: "web/cpu", Kind: queueing.CPU, Servers: 16, Visits: 1, ServiceTime: 0.012},
+		{Name: "db/cpu", Kind: queueing.CPU, Servers: 16, Visits: 1, ServiceTime: 0.08},
+		{Name: "app/disk", Kind: queueing.Disk, Servers: 2, Visits: 2, ServiceTime: 0.0017},
+		{Name: "db/disk", Kind: queueing.Disk, Servers: 1, Visits: 1, ServiceTime: 0.002},
+		{Name: "cache/cpu", Kind: queueing.CPU, Servers: 4, Visits: 1, ServiceTime: 0.006},
+		{Name: "lan", Kind: queueing.Delay, Servers: 1, Visits: 1, ServiceTime: 0.004},
+	}
+	return &queueing.Model{Name: "golden-saturated", ThinkTime: 1, Stations: st}
+}
+
 // goldenDemands fits per-station demand samples that fall by up to 15% with
 // load, on the concurrency axis or (throughputAxis) the throughput axis.
 func goldenDemands(t *testing.T, m *queueing.Model, throughputAxis bool) DemandModel {
@@ -69,15 +85,18 @@ func goldenDemands(t *testing.T, m *queueing.Model, throughputAxis bool) DemandM
 // The load-dependent digest was recorded with that solver's delay-station
 // marginal rows cleared as they grow: before, they kept whatever a pooled
 // vector held, so its checkpoints varied with the pool's history.
+// The multiserver-saturated digest was recorded on the one-entry
+// utilization cache that preceded the per-station closed-form memo.
 var goldenDigests = map[string]string{
-	"exact":                "843f118924d799303ef22fc0d7b59a4f1a3d147d6fb369ab90ac47741f4597b4",
-	"schweitzer":           "02c0eac1b5904679b709aae2706db6c94a6a1eda7acb0da56d2a7fed2332a4bd",
-	"loaddep":              "06fce2ba2d2e9c3fde445291d012f7c16aed858490851a3794c97e8c12ba7c8d",
-	"multiserver":          "a4b5ada2da5771e36e640e028714826540bdc2efe8947d99b35a20cdc942b522",
-	"multiserver-verbatim": "8b86a4e876e4d1ae8c4ee292a1867aee630868e34200de98735d0f5150f07a44",
-	"mvasd":                "53c91fb79772b0a676bfc5d35f60102c925ef695835a2bed2637c7845b5cf2fd",
-	"mvasd-throughput":     "42c2b250f958120fa1f5a63beb802cfcbdd21804d97bf5c20d2bf84d240fa01d",
-	"mvasd-single":         "5473215a64171f0ea2e9ef808eb15579f4f2598ff82a6a3ea9695e32279ea215",
+	"exact":                 "843f118924d799303ef22fc0d7b59a4f1a3d147d6fb369ab90ac47741f4597b4",
+	"schweitzer":            "02c0eac1b5904679b709aae2706db6c94a6a1eda7acb0da56d2a7fed2332a4bd",
+	"loaddep":               "06fce2ba2d2e9c3fde445291d012f7c16aed858490851a3794c97e8c12ba7c8d",
+	"multiserver":           "a4b5ada2da5771e36e640e028714826540bdc2efe8947d99b35a20cdc942b522",
+	"multiserver-saturated": "e2632d446bdc07081455dceb068b43991364a4961789bba727aa5d61c29d0635",
+	"multiserver-verbatim":  "8b86a4e876e4d1ae8c4ee292a1867aee630868e34200de98735d0f5150f07a44",
+	"mvasd":                 "53c91fb79772b0a676bfc5d35f60102c925ef695835a2bed2637c7845b5cf2fd",
+	"mvasd-throughput":      "42c2b250f958120fa1f5a63beb802cfcbdd21804d97bf5c20d2bf84d240fa01d",
+	"mvasd-single":          "5473215a64171f0ea2e9ef808eb15579f4f2598ff82a6a3ea9695e32279ea215",
 }
 
 // TestTrajectoryGolden hashes the exact float bits of every row and
@@ -98,6 +117,9 @@ func TestTrajectoryGolden(t *testing.T) {
 		"loaddep":    func() (*Solver, error) { return NewLoadDependentSolver(m, nil) },
 		"multiserver": func() (*Solver, error) {
 			return NewMultiServerSolver(m, MultiServerOptions{TraceStation: -1})
+		},
+		"multiserver-saturated": func() (*Solver, error) {
+			return NewMultiServerSolver(goldenSaturatedModel(), MultiServerOptions{TraceStation: -1})
 		},
 		"multiserver-verbatim": func() (*Solver, error) {
 			return NewMultiServerSolver(m, MultiServerOptions{Verbatim: true, TraceStation: -1})

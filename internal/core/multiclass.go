@@ -48,7 +48,7 @@ type MulticlassResult struct {
 // (exact multi-class multi-server MVA has no product-form recursion of this
 // simple shape). Time and memory are O(K·Π(N_c+1)).
 func MulticlassMVA(m *queueing.Model, classes []ClassSpec) (*MulticlassResult, error) {
-	if err := m.Validate(); err != nil {
+	if err := m.ValidateShape(); err != nil {
 		return nil, err
 	}
 	if len(classes) == 0 {

@@ -25,7 +25,7 @@ import (
 // single-server or Delay, as in MulticlassMVA; fold multi-core stations with
 // SeidmannTransform or NormalizeServers first.
 func MulticlassMVASD(m *queueing.Model, classes []ClassSpec, demandModels []DemandModel) (*MulticlassResult, error) {
-	if err := m.Validate(); err != nil {
+	if err := m.ValidateShape(); err != nil {
 		return nil, err
 	}
 	if len(classes) == 0 {

@@ -16,45 +16,86 @@ import (
 // (so p_k(1) starts at 1 for the empty network).
 //
 // f carries the correction factor alongside the probabilities it is derived
-// from, so a step reads it instead of re-summing P_k: it is recomputed,
-// always in the same summation order, after every update of p[k]. u[k] is
-// the utilization X·D_k that produced p[k] through the closed-form update
-// (NaN when p[k] came from anywhere else), so a step whose utilization is
-// bit-for-bit unchanged — common past the knee, where X settles — skips the
-// update: the closed form makes P_k a function of u alone.
+// from, so a step reads it instead of re-summing P_k. On the closed-form
+// (non-verbatim) path P_k and F_k depend only on (u, C_k), u = X·D_k, so a
+// per-station memo keeps the last memoWays results keyed by the bits of u
+// and a step recomputes them only for a utilization the station has not seen
+// in its last memoWays misses; the memo never goes stale across copyFrom,
+// restore or a checkpoint. u[k] is the key of the result p[k] already holds
+// (noKey when p[k] came from anywhere else): a step whose utilization is
+// bit-for-bit unchanged — common past the knee, where X settles — reads
+// nothing from the memo at all.
 type multiServerState struct {
 	queue []float64   // Q_k
 	p     [][]float64 // p[k][j-1] = p_k(j), length C_k
 	f     []float64   // F_k = Σ_{m=0..C−1}(C−1−m)·P_k(m), kept in step with p
-	u     []float64   // utilization behind the closed-form p[k], or NaN
+	u     []float64   // memo key behind the closed-form p[k], or noKey
 
-	// Per-step invariants hoisted out of the hot loop (see stationConsts):
-	// the MVASD fixed point re-runs multiServerStep many times per
-	// population, so struct copies out of m.Stations were measurable.
-	servers  []int
-	serversF []float64
-	delay    []bool
+	stn     []msStation
+	memoBuf []float64 // pooled backing of every station's memo ways
 }
+
+// msStation holds one station's per-step invariants, hoisted out of the hot
+// loop (see stationConsts): the MVASD fixed point re-runs multiServerStep
+// many times per population, so struct copies out of m.Stations were
+// measurable. A multi-server station also carries its closed-form memo.
+type msStation struct {
+	servers int
+	c       float64 // servers as a float
+	delay   bool
+	// The station's last memoWays closed-form results, overwritten round
+	// robin from next: way w maps keys[w] to F_k = fs[w] and P_k =
+	// ps[w·C:(w+1)·C], a window of memoBuf (nil for delay and
+	// single-server stations). Unused ways hold the saturated result under
+	// the key +Inf, which is exactly what the closed form gives for it.
+	keys, fs [memoWays]float64
+	ps       []float64
+	next     int
+}
+
+// noKey marks p[k] as not a closed-form result. Every u ≥ C_k is keyed as
+// +Inf, so no step's key is ever this finite value above any server count
+// (a NaN marker would collide with a NaN utilization of the same bits).
+const noKey = math.MaxFloat64
+
+// memoWays is how many closed-form results each multi-server station keeps.
+// Past the knee X cycles among two or three floats rather than settling on
+// one; on the VINS and JPetStore models to N=20 000 four ways serve 97–98%
+// of Algorithm-2 steps (one way 44–52%, two 76–83%, three 96–98%, eight no
+// better) and 92–96% of MVASD steps (one way 29–67%).
+const memoWays = 4
 
 // newMultiServerState builds the empty-network state from pooled vectors;
 // release returns them.
 func newMultiServerState(m *queueing.Model) *multiServerState {
 	k := len(m.Stations)
 	s := &multiServerState{
-		queue:    getVec(k),
-		p:        make([][]float64, k),
-		f:        getVec(k),
-		u:        getVec(k),
-		servers:  make([]int, k),
-		serversF: getVec(k),
-		delay:    make([]bool, k),
+		queue: getVec(k),
+		p:     make([][]float64, k),
+		f:     getVec(k),
+		u:     getVec(k),
+		stn:   make([]msStation, k),
 	}
+	size := 0
 	for i, st := range m.Stations {
 		s.p[i] = getVec(st.Servers)
 		s.p[i][0] = 1 // empty network: P(0 customers) = 1
-		s.servers[i] = st.Servers
-		s.serversF[i] = float64(st.Servers)
-		s.delay[i] = st.Kind == queueing.Delay
+		s.stn[i] = msStation{servers: st.Servers, c: float64(st.Servers), delay: st.Kind == queueing.Delay}
+		if !s.stn[i].delay && st.Servers > 1 {
+			size += memoWays * st.Servers
+		}
+	}
+	s.memoBuf = getMemoVec(size)
+	rest := s.memoBuf
+	for i := range s.stn {
+		sk := &s.stn[i]
+		if sk.delay || sk.servers == 1 {
+			continue
+		}
+		sk.ps, rest = rest[:memoWays*sk.servers], rest[memoWays*sk.servers:]
+		for w := range sk.keys {
+			sk.keys[w] = math.Inf(1)
+		}
 	}
 	s.resetDerived()
 	return s
@@ -62,10 +103,10 @@ func newMultiServerState(m *queueing.Model) *multiServerState {
 
 func (s *multiServerState) release() {
 	putVec(s.queue)
-	putVec(s.serversF)
 	putVec(s.f)
 	putVec(s.u)
-	s.queue, s.serversF, s.servers, s.delay, s.f, s.u = nil, nil, nil, nil, nil, nil
+	putMemoVec(s.memoBuf)
+	s.queue, s.f, s.u, s.stn, s.memoBuf = nil, nil, nil, nil, nil
 	for k := range s.p {
 		putVec(s.p[k])
 		s.p[k] = nil
@@ -75,26 +116,28 @@ func (s *multiServerState) release() {
 // refreshF recomputes F_k from p[k]. The summation order is part of the
 // recursion's float bits; keep it.
 func (s *multiServerState) refreshF(k int) {
-	c, p := s.serversF[k], s.p[k]
+	c, p := s.stn[k].c, s.p[k]
 	f := 0.0
-	for mIdx := 0; mIdx < s.servers[k] && mIdx < len(p); mIdx++ {
+	for mIdx := 0; mIdx < s.stn[k].servers && mIdx < len(p); mIdx++ {
 		f += (c - 1 - float64(mIdx)) * p[mIdx]
 	}
 	s.f[k] = f
 }
 
-// resetDerived rebuilds f from p and forgets every cached utilization, for
+// resetDerived rebuilds f from p and forgets which memo key p holds, for
 // probabilities that did not come from this state's own closed-form update.
+// The memo itself stays valid: its entries depend on u alone.
 func (s *multiServerState) resetDerived() {
 	for k := range s.p {
 		s.refreshF(k)
-		s.u[k] = math.NaN()
+		s.u[k] = noKey
 	}
 }
 
 // copyFrom overwrites s with src's values. Both must come from the same
 // model (needed by the fixed-point demand-vs-throughput mode, which re-runs
-// a step from the same pre-step state without allocating a clone).
+// a step from the same pre-step state without allocating a clone). Each
+// state keeps its own memo: every entry of either is valid for both.
 func (s *multiServerState) copyFrom(src *multiServerState) {
 	copy(s.queue, src.queue)
 	copy(s.f, src.f)
@@ -115,6 +158,78 @@ func (s *multiServerState) restore(cp *Checkpoint) error {
 	}
 	s.resetDerived()
 	return nil
+}
+
+// closedFormAt brings p[k] and f[k] to the closed form of multi-server
+// station k at utilization u: nothing to do when p[k] already holds it,
+// else a copy out of the station's memo or, on a miss, one evaluation.
+func (s *multiServerState) closedFormAt(k int, u float64) {
+	sk := &s.stn[k]
+	if u >= sk.c {
+		u = math.Inf(1) // every saturated u has one result, so one key
+	}
+	if math.Float64bits(u) == math.Float64bits(s.u[k]) {
+		return
+	}
+	s.u[k] = u
+	s.f[k] = sk.update(u, s.p[k])
+}
+
+// update sets p to the closed-form P_k of the station at utilization u and
+// returns F_k, copying both from a way keyed by u's bits when there is one,
+// so a signed zero or NaN never reuses a result computed from another value.
+func (sk *msStation) update(u float64, p []float64) float64 {
+	c := len(p)
+	bits := math.Float64bits(u)
+	for w, key := range sk.keys {
+		if math.Float64bits(key) == bits {
+			copy(p, sk.ps[w*c:(w+1)*c])
+			return sk.fs[w]
+		}
+	}
+	f := closedForm(u, sk.c, p)
+	w := sk.next
+	sk.keys[w], sk.fs[w] = u, f
+	copy(sk.ps[w*c:(w+1)*c], p)
+	sk.next = (w + 1) % memoWays
+	return f
+}
+
+// closedForm writes the Suri–Sahu–Vernon marginals of a C-server station at
+// utilization u into p (length C) and returns F_k. The self-consistent
+// solution of P(j) = (u/j)·P(j−1), j = 1..C−1, together with
+// P(0) = 1 − (1/C)[u + Σ_{j=1..C−1}(C−j)·P(j)] is
+//
+//	P(j) = P(0)·u^j/j!,
+//	P(0) = (1 − u/C) / (1 + (1/C)·Σ_{j=1..C−1}(C−j)·u^j/j!)
+//
+// clamped at 0 once the station saturates (u ≥ C), where the correction
+// factor vanishes and the station behaves as a single server of demand D/C.
+// F_k is summed in refreshF's order, so its bits match a re-sum of p.
+func closedForm(u, c float64, p []float64) float64 {
+	if u >= c {
+		clear(p)
+		return 0
+	}
+	// Fused: one pass stores the factorial terms u^j/j! in place while
+	// accumulating the weighted sum, then a scale-by-P(0) sweep that also
+	// accumulates F_k — the division-heavy recurrence is evaluated once.
+	wsum := 0.0
+	term := 1.0 // u^j/j!
+	for j := 1; j < len(p); j++ {
+		term *= u / float64(j)
+		p[j] = term
+		wsum += (c - float64(j)) * term
+	}
+	p0 := (1 - u/c) / (1 + wsum/c)
+	p[0] = p0
+	f := 0.0 // +0 first, as in refreshF: 0 + (−0) is +0
+	f += (c - 1) * p0
+	for j := 1; j < len(p); j++ {
+		p[j] *= p0
+		f += (c - 1 - float64(j)) * p[j]
+	}
+	return f
 }
 
 // MultiServerOptions tunes Algorithm 2 / Algorithm 3 behaviour.
@@ -152,14 +267,13 @@ type MultiServerOptions struct {
 // st.p[k][m] holds P_k(m | n−1), the marginal probability of m customers at
 // station k.
 func multiServerStep(m *queueing.Model, st *multiServerState, demands []float64, n int, verbatim bool, resid []float64) (x, rTotal float64) {
-	queue, delay, servers, serversF, fk, uk := st.queue, st.delay, st.servers, st.serversF, st.f, st.u
+	queue, stn, fk := st.queue, st.stn, st.f
 	kk := len(queue)
-	if len(delay) < kk || len(servers) < kk || len(serversF) < kk || len(fk) < kk || len(uk) < kk ||
-		len(resid) < kk || len(demands) < kk {
+	if len(stn) < kk || len(fk) < kk || len(resid) < kk || len(demands) < kk {
 		return 0, 0 // construction guarantees matching shapes; keep BCE honest
 	}
 	for k := 0; k < kk; k++ {
-		if delay[k] {
+		if stn[k].delay {
 			resid[k] = demands[k]
 			rTotal += resid[k]
 			continue
@@ -167,73 +281,36 @@ func multiServerStep(m *queueing.Model, st *multiServerState, demands []float64,
 		// R_k = (D_k/C_k)(1 + Q_k + F_k)   (paper eq. 10 in demand form),
 		// with the correction factor F_k = Σ_{j=1..C}(C−j)·p_k(j) in paper
 		// indexing carried in st.f.
-		resid[k] = demands[k] / serversF[k] * (1 + queue[k] + fk[k])
+		resid[k] = demands[k] / stn[k].c * (1 + queue[k] + fk[k])
 		rTotal += resid[k]
 	}
 	x = float64(n) / (rTotal + m.ThinkTime)
 	for k := 0; k < kk; k++ {
 		queue[k] = x * resid[k]
-		if delay[k] || servers[k] == 1 {
+		sk := &stn[k]
+		if sk.delay || sk.servers == 1 {
 			// P_k(0) stays 1 for single servers: F_k ≡ 0 and eq. 10
 			// reduces to the single-server eq. 8, as the paper notes.
 			continue
 		}
-		c := serversF[k]
+		c := sk.c
 		u := x * demands[k] // total utilization X·D_k (0..C_k scale)
 		p := st.p[k]
 		if verbatim {
 			// As printed: unweighted P(0) update first, then cascade the
 			// tail from the freshly updated predecessors.
 			sum := 0.0
-			for mIdx := 1; mIdx < servers[k]; mIdx++ {
+			for mIdx := 1; mIdx < sk.servers; mIdx++ {
 				sum += p[mIdx]
 			}
 			p[0] = 1 - (u+sum)/c
-			for j := 2; j <= servers[k]; j++ {
+			for j := 2; j <= sk.servers; j++ {
 				p[j-1] = u / float64(j) * p[j-2]
 			}
 			st.refreshF(k)
 			continue
 		}
-		// Compared by bits, so a signed zero or NaN never reuses a P_k
-		// computed from a different value.
-		if math.Float64bits(u) == math.Float64bits(uk[k]) {
-			continue
-		}
-		uk[k] = u
-		// Suri–Sahu–Vernon, solved in closed form: the self-consistent
-		// solution of P(j) = (u/j)·P(j−1), j = 1..C−1, together with
-		// P(0) = 1 − (1/C)[u + Σ_{j=1..C−1}(C−j)·P(j)] is
-		//
-		//	P(j) = P(0)·u^j/j!,
-		//	P(0) = (1 − u/C) / (1 + (1/C)·Σ_{j=1..C−1}(C−j)·u^j/j!)
-		//
-		// clamped at 0 once the station saturates (u ≥ C), where the
-		// correction factor vanishes and the station behaves as a single
-		// server of demand D/C.
-		if u >= c {
-			for mIdx := range p {
-				p[mIdx] = 0
-			}
-			st.refreshF(k)
-			continue
-		}
-		// Fused: one pass stores the factorial terms u^j/j! in place while
-		// accumulating the weighted sum, then a scale-by-P(0) sweep — the
-		// division-heavy recurrence is evaluated once instead of twice.
-		wsum := 0.0
-		term := 1.0 // u^j/j!
-		for j := 1; j < servers[k]; j++ {
-			term *= u / float64(j)
-			p[j] = term
-			wsum += (c - float64(j)) * term
-		}
-		p0 := (1 - u/c) / (1 + wsum/c)
-		p[0] = p0
-		for j := 1; j < servers[k]; j++ {
-			p[j] *= p0
-		}
-		st.refreshF(k)
+		st.closedFormAt(k, u)
 	}
 	return x, rTotal
 }

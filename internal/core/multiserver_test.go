@@ -290,3 +290,127 @@ func TestSingleServerRate(t *testing.T) {
 		}
 	}
 }
+
+// referenceClosedForm is the closed-form update written out independently of
+// the memo: the Suri–Sahu–Vernon marginals for a C-server station at
+// utilization u (zero from saturation on), then F_k summed over P_k in
+// ascending order.
+func referenceClosedForm(u float64, servers int) ([]float64, float64) {
+	c := float64(servers)
+	p := make([]float64, servers)
+	if u < c || u != u {
+		wsum, term := 0.0, 1.0
+		for j := 1; j < servers; j++ {
+			term *= u / float64(j)
+			p[j] = term
+			wsum += (c - float64(j)) * term
+		}
+		p0 := (1 - u/c) / (1 + wsum/c)
+		p[0] = p0
+		for j := 1; j < servers; j++ {
+			p[j] *= p0
+		}
+	}
+	f := 0.0
+	for j, pj := range p {
+		f += (c - 1 - float64(j)) * pj
+	}
+	return p, f
+}
+
+// TestClosedFormMemoBitIdentical drives each multi-server station's memo
+// with utilization sequences that repeat, alternate among 2–5 values and
+// jump to ±0, subnormals, NaN and saturated values, moving the state through
+// copyFrom (the MVASD trial double-buffer) and restore (checkpoint resume)
+// on the way, and checks every P_k and F_k against a fresh closed form, bit
+// for bit.
+func TestClosedFormMemoBitIdentical(t *testing.T) {
+	m := &queueing.Model{Name: "memo", ThinkTime: 1, Stations: []queueing.Station{
+		{Name: "cpu16", Kind: queueing.CPU, Servers: 16, Visits: 1, ServiceTime: 0.01},
+		{Name: "disk", Kind: queueing.Disk, Servers: 1, Visits: 1, ServiceTime: 0.01},
+		{Name: "cpu2", Kind: queueing.CPU, Servers: 2, Visits: 1, ServiceTime: 0.01},
+		{Name: "lan", Kind: queueing.Delay, Servers: 3, Visits: 1, ServiceTime: 0.01},
+		{Name: "cpu5", Kind: queueing.CPU, Servers: 5, Visits: 1, ServiceTime: 0.01},
+	}}
+	multi := []int{0, 2, 4}
+	rng := rand.New(rand.NewSource(16))
+	special := func(c float64) float64 {
+		switch rng.Intn(10) {
+		case 0:
+			return 0
+		case 1:
+			return math.Copysign(0, -1)
+		case 2:
+			return math.SmallestNonzeroFloat64 * float64(1+rng.Intn(1000))
+		case 3:
+			return math.Float64frombits(rng.Uint64() & (1<<52 - 1)) // any subnormal
+		case 4:
+			return c
+		case 5:
+			return math.Nextafter(c, 0)
+		case 6:
+			return c * (1 + rng.Float64())
+		case 7:
+			return math.Inf(1)
+		case 8:
+			return math.NaN()
+		}
+		return c * (1 - 1e-12*rng.Float64())
+	}
+	st, twin := newMultiServerState(m), newMultiServerState(m)
+	defer func() { st.release(); twin.release() }()
+	var cycle []float64 // the values an alternation run cycles through
+	for step := 0; step < 20000; step++ {
+		switch r := rng.Intn(100); {
+		case r < 3:
+			// Trial double-buffer: the twin takes the state and the next
+			// steps, as mvasdStepper swaps st and trial on convergence.
+			twin.copyFrom(st)
+			st, twin = twin, st
+		case r < 4:
+			// A fresh state (empty memo ways) takes over mid-run.
+			twin.release()
+			twin = newMultiServerState(m)
+			twin.copyFrom(st)
+			st, twin = twin, st
+		case r < 6:
+			cp := &Checkpoint{Queue: append([]float64(nil), st.queue...), Marginal: cloneVecs(st.p)}
+			if err := twin.restore(cp); err != nil {
+				t.Fatal(err)
+			}
+			st, twin = twin, st
+		}
+		if step%40 == 0 {
+			cycle = cycle[:0]
+			for i, n := 0, 2+rng.Intn(4); i < n; i++ {
+				cycle = append(cycle, rng.Float64())
+			}
+		}
+		for _, k := range multi {
+			c := float64(m.Stations[k].Servers)
+			var u float64
+			switch r := rng.Intn(10); {
+			case step < 8:
+				u = special(c) // an empty memo meets the edge cases first
+			case r < 5:
+				u = c * cycle[step%len(cycle)]
+			case r < 7:
+				u = st.u[k] // a repeat of the key p[k] holds (NaN after restore)
+			case r < 9:
+				u = special(c)
+			default:
+				u = c * rng.Float64()
+			}
+			st.closedFormAt(k, u)
+			wantP, wantF := referenceClosedForm(u, m.Stations[k].Servers)
+			for j := range wantP {
+				if math.Float64bits(st.p[k][j]) != math.Float64bits(wantP[j]) {
+					t.Fatalf("step %d station %d u=%v: P(%d) = %v, want %v", step, k, u, j, st.p[k][j], wantP[j])
+				}
+			}
+			if math.Float64bits(st.f[k]) != math.Float64bits(wantF) {
+				t.Fatalf("step %d station %d u=%v: F = %v, want %v", step, k, u, st.f[k], wantF)
+			}
+		}
+	}
+}

@@ -143,7 +143,7 @@ func (s *mvasdStepper) restore(cp *Checkpoint) error {
 // NewMVASDSolver returns a resumable Algorithm-3 solver: demands come from
 // dm at every population step (the model's station demands are ignored).
 func NewMVASDSolver(m *queueing.Model, dm DemandModel, opts MVASDOptions) (*Solver, error) {
-	if err := m.Validate(); err != nil {
+	if err := m.ValidateShape(); err != nil {
 		return nil, err
 	}
 	if err := validateDemandModel(m, dm); err != nil {
@@ -182,9 +182,6 @@ func MVASD(m *queueing.Model, maxN int, dm DemandModel, opts MVASDOptions) (*Res
 }
 
 func mvasd(ctx context.Context, m *queueing.Model, maxN int, dm DemandModel, opts MVASDOptions) (*Result, error) {
-	if err := validateRun(m, maxN); err != nil {
-		return nil, err
-	}
 	s, err := NewMVASDSolver(m, dm, opts)
 	if err != nil {
 		return nil, err
@@ -246,7 +243,7 @@ func (s *mvasdSingleStepper) restore(cp *Checkpoint) error {
 // NewMVASDSingleServerSolver returns a resumable solver for the paper's
 // single-server MVASD baseline.
 func NewMVASDSingleServerSolver(m *queueing.Model, dm DemandModel, opts MVASDOptions) (*Solver, error) {
-	if err := m.Validate(); err != nil {
+	if err := m.ValidateShape(); err != nil {
 		return nil, err
 	}
 	if err := validateDemandModel(m, dm); err != nil {
@@ -268,9 +265,6 @@ func MVASDSingleServer(m *queueing.Model, maxN int, dm DemandModel, opts MVASDOp
 }
 
 func mvasdSingleServer(ctx context.Context, m *queueing.Model, maxN int, dm DemandModel, opts MVASDOptions) (*Result, error) {
-	if err := validateRun(m, maxN); err != nil {
-		return nil, err
-	}
 	s, err := NewMVASDSingleServerSolver(m, dm, opts)
 	if err != nil {
 		return nil, err

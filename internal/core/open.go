@@ -37,7 +37,7 @@ type OpenResult struct {
 // the control knob and the demand-vs-throughput curves plug in naturally
 // via OpenNetworkVarying.
 func OpenNetwork(m *queueing.Model, lambda float64) (*OpenResult, error) {
-	if err := m.Validate(); err != nil {
+	if err := m.ValidateShape(); err != nil {
 		return nil, err
 	}
 	if lambda < 0 || math.IsNaN(lambda) {
@@ -109,7 +109,7 @@ func openSolve(m *queueing.Model, lambda float64, demands []float64) *OpenResult
 // simply evaluated at λ — no fixed point needed, which is exactly why the
 // paper calls this mode "more tractable … for open systems".
 func OpenNetworkVarying(m *queueing.Model, lambda float64, dm DemandModel) (*OpenResult, error) {
-	if err := m.Validate(); err != nil {
+	if err := m.ValidateShape(); err != nil {
 		return nil, err
 	}
 	if dm == nil {

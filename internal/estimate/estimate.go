@@ -167,7 +167,7 @@ func New(model *queueing.Model, cfg Config) (*Estimator, error) {
 	if model == nil {
 		return nil, fmt.Errorf("%w: nil model", ErrEstimate)
 	}
-	if err := model.Validate(); err != nil {
+	if err := model.ValidateShape(); err != nil {
 		return nil, err
 	}
 	cfg.defaults()

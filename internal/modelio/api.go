@@ -79,6 +79,15 @@ type SolveRequest struct {
 	TimeoutMS int `json:"timeoutMs,omitempty"`
 }
 
+// validateModel checks a request's model: its shape alone when sampled
+// demands replace the stations' own, otherwise fully.
+func validateModel(m *queueing.Model, sampled bool) error {
+	if sampled {
+		return m.ValidateShape()
+	}
+	return m.Validate()
+}
+
 // Normalize fills defaults and validates the request.
 func (r *SolveRequest) Normalize() error {
 	if r.Algorithm == "" {
@@ -97,7 +106,7 @@ func (r *SolveRequest) Normalize() error {
 	if r.Model == nil {
 		return fmt.Errorf("modelio: solve request has no model")
 	}
-	if err := r.Model.Validate(); err != nil {
+	if err := validateModel(r.Model, r.NeedsSamples()); err != nil {
 		return err
 	}
 	if r.MaxN < 1 {
@@ -679,7 +688,7 @@ func (r *PlanRequest) Normalize() error {
 	if r.Model == nil {
 		return fmt.Errorf("modelio: plan request has no model")
 	}
-	if err := r.Model.Validate(); err != nil {
+	if err := validateModel(r.Model, r.Samples != nil); err != nil {
 		return err
 	}
 	if r.Users < 1 {

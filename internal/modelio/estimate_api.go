@@ -68,7 +68,7 @@ type ObserveRequest struct {
 // ingest instead, so one bad sample does not reject a batch.
 func (r *ObserveRequest) Normalize() error {
 	if r.Model != nil {
-		if err := r.Model.Validate(); err != nil {
+		if err := r.Model.ValidateShape(); err != nil {
 			return err
 		}
 	}

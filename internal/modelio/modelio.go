@@ -31,7 +31,7 @@ func ReadModel(r io.Reader) (*queueing.Model, error) {
 	if err := dec.Decode(&m); err != nil {
 		return nil, fmt.Errorf("modelio: decoding model: %w", err)
 	}
-	if err := m.Validate(); err != nil {
+	if err := m.ValidateShape(); err != nil {
 		return nil, err
 	}
 	return &m, nil
@@ -39,7 +39,7 @@ func ReadModel(r io.Reader) (*queueing.Model, error) {
 
 // SaveModel writes a model to a JSON file (pretty-printed).
 func SaveModel(path string, m *queueing.Model) error {
-	if err := m.Validate(); err != nil {
+	if err := m.ValidateShape(); err != nil {
 		return err
 	}
 	f, err := os.Create(path)

@@ -64,10 +64,30 @@ type Model struct {
 // ErrInvalidModel is wrapped by Validate for any structural problem.
 var ErrInvalidModel = errors.New("queueing: invalid model")
 
-// Validate checks the model for structural soundness: at least one station,
-// positive server counts, non-negative visits/service times/think time, and
-// unique station names.
+// ErrNotFinite reports a model whose closed-network solution is not finite:
+// Validate returns it when think time and demands sum to zero (X = n/0), and
+// solvers of the service when a value overflows.
+var ErrNotFinite = fmt.Errorf("%w: the solution is not finite (think time and demands sum to zero, or a value overflows)", ErrInvalidModel)
+
+// Validate checks a model whose own station demands drive a closed-network
+// solve: ValidateShape's structural checks, and think time plus total demand
+// above zero, without which X = n/0 is not finite.
 func (m *Model) Validate() error {
+	if err := m.ValidateShape(); err != nil {
+		return err
+	}
+	if m.ThinkTime+m.TotalDemand() == 0 {
+		return ErrNotFinite
+	}
+	return nil
+}
+
+// ValidateShape checks the model for structural soundness: at least one
+// station, positive server counts, non-negative visits/service times/think
+// time, and unique station names. It suits models whose demands come from
+// elsewhere (MVASD samples, an estimator's stream, per-class demands) or
+// that are solved as open networks, where zero demands are legitimate.
+func (m *Model) ValidateShape() error {
 	if len(m.Stations) == 0 {
 		return fmt.Errorf("%w: no stations", ErrInvalidModel)
 	}

@@ -50,6 +50,27 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
+// TestValidateZeroWork: a closed model with no think time and no demand has
+// X = n/0; Validate rejects it with ErrNotFinite while ValidateShape, for
+// models whose demands come from elsewhere, accepts it.
+func TestValidateZeroWork(t *testing.T) {
+	m := validModel()
+	m.ThinkTime = 0
+	for i := range m.Stations {
+		m.Stations[i].ServiceTime = 0
+	}
+	if err := m.Validate(); !errors.Is(err, ErrNotFinite) || !errors.Is(err, ErrInvalidModel) {
+		t.Errorf("Validate = %v, want ErrNotFinite wrapping ErrInvalidModel", err)
+	}
+	if err := m.ValidateShape(); err != nil {
+		t.Errorf("ValidateShape = %v, want nil", err)
+	}
+	m.Stations[len(m.Stations)-1].ServiceTime = 1e-300 // any work at all is solvable
+	if err := m.Validate(); err != nil {
+		t.Errorf("Validate with a tiny demand = %v, want nil", err)
+	}
+}
+
 func TestStationDemand(t *testing.T) {
 	st := Station{Visits: 7, ServiceTime: 0.01}
 	if got := st.Demand(); !numeric.AlmostEqual(got, 0.07, 1e-12) {

@@ -137,8 +137,7 @@ func (s *Server) SolveKeyed(ctx context.Context, key string, req *modelio.SolveR
 		traj.SetRowText(e.rowText(req.MaxN))
 	}
 	if !traj.Finite() {
-		return nil, fmt.Errorf("%w: the solution is not finite (think time and demands sum to zero, or a value overflows)",
-			queueing.ErrInvalidModel)
+		return nil, queueing.ErrNotFinite
 	}
 	return &modelio.SolveResponse{
 		Cached:     hit,

@@ -252,11 +252,15 @@ func (s *Server) runCached(ctx context.Context, cacheSpan *telemetry.Span, key s
 			// this goroutine, and anything heavier would cost the step
 			// path its 0 allocs/op guarantee. The shared step counter is
 			// bumped once per run, not per population: concurrent solves
-			// would otherwise bounce its cache line on every step.
+			// would otherwise bounce its cache line on every step. For the
+			// same reason the in-flight progress is published every
+			// progressEvery populations and at the target, not every step.
 			var steps, fpIters int
 			hooks := &core.SolveHooks{OnStep: func(n int, _ float64) {
 				steps++
-				fl.cur.Store(int64(n))
+				if n%progressEvery == 0 || n == maxN {
+					fl.cur.Store(int64(n))
+				}
 			}}
 			if strings.HasPrefix(alg, "mvasd") {
 				hooks.OnFixedPoint = func(_, iters int, _ float64, converged bool) {
@@ -285,6 +289,10 @@ func (s *Server) runCached(ctx context.Context, cacheSpan *telemetry.Span, key s
 	cacheSpan.End() // idempotent: closes the span on the in-lock hit path
 	return res, hit, err
 }
+
+// progressEvery is the population stride at which a run publishes its
+// progress to /v1/status and solverd_solve_progress.
+const progressEvery = 64
 
 // handleSolve serves POST /v1/solve: decode, normalize, then the exported
 // Solve engine under the request-derived context.
@@ -408,6 +416,11 @@ func pointResult(res *core.Result, req *modelio.SolveRequest, p modelio.GridPoin
 			if u > bu {
 				bu = u
 			}
+		}
+		if x-x != 0 || resp-resp != 0 || cycle-cycle != 0 || bu-bu != 0 { // NaN or ±Inf
+			// Sampled demands can still sum to zero with the think time:
+			// JSON cannot carry the ±Inf, so the point fails as /v1/solve does.
+			return modelio.SweepPointResult{Point: p, Error: queueing.ErrNotFinite.Error()}
 		}
 		out.Rows = append(out.Rows, modelio.SweepRow{
 			N: n, X: x, R: resp, Cycle: cycle, BottleneckUtil: bu,

@@ -325,6 +325,47 @@ func TestSolveRejectsNonFiniteSolution(t *testing.T) {
 	}
 }
 
+// TestZeroDemandModelRejectedEverywhere: a model whose think time and
+// demands sum to zero fails validation, so /v1/sweep answers 400 with
+// /v1/solve's error text instead of a 500 from encoding +Inf.
+func TestZeroDemandModelRejectedEverywhere(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxN: 1000})
+	const model = `{"name":"z","thinkTime":0,"stations":[{"name":"a","kind":"cpu","servers":1,"visits":1,"serviceTime":0}]}`
+	for path, body := range map[string]string{
+		"/v1/solve": `{"algorithm":"exact","model":` + model + `,"maxN":2}`,
+		"/v1/sweep": `{"algorithm":"exact","model":` + model + `,"populations":[1,2]}`,
+	} {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var reply struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&reply)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decoding reply: %v", path, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || reply.Error != queueing.ErrNotFinite.Error() {
+			t.Errorf("%s: status %d error %q, want 400 %q", path, resp.StatusCode, reply.Error, queueing.ErrNotFinite)
+		}
+	}
+
+	// Sampled demands that sum to zero pass validation (the model's own
+	// demands are not used); the sweep point fails instead of the reply.
+	resp, body := postJSON(t, ts.URL+"/v1/sweep", json.RawMessage(`{"algorithm":"mvasd",`+
+		`"model":{"name":"s","stations":[{"name":"q","servers":1,"visits":1,"serviceTime":1}]},`+
+		`"samples":{"stations":[{"name":"q","at":[1,2],"demands":[0,0]}]},"populations":[1,2]}`))
+	var out modelio.SweepResponse
+	if err := json.Unmarshal(body, &out); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("sampled sweep: status %d: %s (%v)", resp.StatusCode, body, err)
+	}
+	if len(out.Points) != 1 || out.Points[0].Error != queueing.ErrNotFinite.Error() || out.Points[0].Rows != nil {
+		t.Errorf("sampled sweep point: %+v, want error %q", out.Points, queueing.ErrNotFinite)
+	}
+}
+
 func TestSweepFanOut(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 4})
 	resp, body := postJSON(t, ts.URL+"/v1/sweep", map[string]any{

@@ -51,7 +51,7 @@ func RunOpen(cfg OpenConfig) (*OpenStats, error) {
 	if cfg.Model == nil {
 		return nil, errors.New("simulation: nil model")
 	}
-	if err := cfg.Model.Validate(); err != nil {
+	if err := cfg.Model.ValidateShape(); err != nil {
 		return nil, err
 	}
 	if cfg.Lambda <= 0 {
