@@ -310,10 +310,10 @@ func TestMetricsSchema(t *testing.T) {
 }
 
 // TestSelfModelValidates pins the model shape: two stations, workers first,
-// that queueing.Validate accepts (solveCurve re-validates it every fit).
+// that queueing.ValidateShape accepts (solveCurve re-validates it every fit).
 func TestSelfModelValidates(t *testing.T) {
 	m := SelfModel(3)
-	if err := m.Validate(); err != nil {
+	if err := m.ValidateShape(); err != nil {
 		t.Fatal(err)
 	}
 	if len(m.Stations) != 2 || m.Stations[0].Name != WorkersStation || m.Stations[1].Kind != queueing.Delay {
