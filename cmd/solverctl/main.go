@@ -134,12 +134,24 @@ func run(args []string, out io.Writer) error {
 	}
 }
 
-// getJSON fetches one endpoint into v, attaching the cluster secret and a
-// fresh request ID. Non-2xx responses surface the server's JSON error text.
+// getJSON fetches one endpoint into v. Non-2xx responses surface the
+// server's JSON error text under the path.
 func (c *ctl) getJSON(path string, v any) (int, error) {
+	code, body, err := c.get(path, path)
+	if err != nil {
+		return code, err
+	}
+	return code, json.Unmarshal(body, v)
+}
+
+// get fetches one endpoint's raw body, attaching the cluster secret and a
+// fresh request ID. A non-200 answer is an error named by what, carrying the
+// server's JSON error text when it sent one; the status is returned either
+// way so callers can tell a refused secret from a missing endpoint.
+func (c *ctl) get(path, what string) (int, []byte, error) {
 	req, err := http.NewRequest(http.MethodGet, "http://"+c.addr+path, nil)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	req.Header.Set("X-Request-Id", telemetry.NewID())
 	if c.secret != "" {
@@ -147,23 +159,23 @@ func (c *ctl) getJSON(path string, v any) (int, error) {
 	}
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
 	if err != nil {
-		return resp.StatusCode, err
+		return resp.StatusCode, nil, err
 	}
 	if resp.StatusCode != http.StatusOK {
 		var e struct {
 			Error string `json:"error"`
 		}
 		if json.Unmarshal(body, &e) == nil && e.Error != "" {
-			return resp.StatusCode, fmt.Errorf("%s: %s", path, e.Error)
+			return resp.StatusCode, nil, fmt.Errorf("%s: %s", what, e.Error)
 		}
-		return resp.StatusCode, fmt.Errorf("%s: status %d", path, resp.StatusCode)
+		return resp.StatusCode, nil, fmt.Errorf("%s: status %d", what, resp.StatusCode)
 	}
-	return resp.StatusCode, json.Unmarshal(body, v)
+	return resp.StatusCode, body, nil
 }
 
 // traces lists the node's flight-recorder index, newest first.
@@ -604,32 +616,9 @@ func (c *ctl) profile(id, kind, outFile string) error {
 	default:
 		return fmt.Errorf("bad -kind %q (want cpu or heap)", kind)
 	}
-	req, err := http.NewRequest(http.MethodGet,
-		"http://"+c.addr+"/debug/profiles/"+url.PathEscape(id)+"?kind="+kind, nil)
+	_, body, err := c.get("/debug/profiles/"+url.PathEscape(id)+"?kind="+kind, "profile "+id)
 	if err != nil {
 		return err
-	}
-	req.Header.Set("X-Request-Id", telemetry.NewID())
-	if c.secret != "" {
-		req.Header.Set("X-Cluster-Secret", c.secret)
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if json.Unmarshal(body, &e) == nil && e.Error != "" {
-			return fmt.Errorf("profile %s: %s", id, e.Error)
-		}
-		return fmt.Errorf("profile %s: status %d", id, resp.StatusCode)
 	}
 	if outFile == "" {
 		outFile = fmt.Sprintf("%s-%s.pb.gz", id, kind)

@@ -71,28 +71,12 @@ func (g *Gateway) consumeHeadroom(peer string) {
 // that are down, unready or answer without a ready model advertise no
 // headroom.
 func (g *Gateway) refreshHeadroomLocked(r *http.Request) {
-	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.ProbeTimeout)
-	defer cancel()
 	fresh := make(map[string]int, len(g.remotePeers))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, peer := range g.remotePeers {
-		if !g.members.peerUp(peer) {
-			continue
+	for _, res := range fanOut(r.Context(), g.cfg.ProbeTimeout, nil, g.members.upPeers(), g.peerSelf) {
+		if res.ok && res.val.Ready {
+			fresh[res.node] = res.val.Headroom
 		}
-		wg.Add(1)
-		go func(peer string) {
-			defer wg.Done()
-			self, ok := g.fetchSelf(ctx, peer)
-			if !ok || !self.Ready {
-				return
-			}
-			mu.Lock()
-			fresh[peer] = self.Headroom
-			mu.Unlock()
-		}(peer)
 	}
-	wg.Wait()
 	g.headroom.headroom = fresh
 	g.headroom.fetched = time.Now()
 }

@@ -2,23 +2,14 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
-	"sync"
-	"time"
 
 	"repro/internal/journal"
 	"repro/internal/server"
-	"repro/internal/telemetry"
 )
-
-// eventsFanoutTimeout bounds the fleet event collection round: journal reads
-// are small in-memory slices, so a member that cannot answer in this window
-// is listed as missing rather than stalling the timeline.
-const eventsFanoutTimeout = 5 * time.Second
 
 // maxEventsResponseBytes caps one member's journal payload. The journal's
 // per-type caps bound a full dump to a few MiB of JSON, so 32 MiB is far
@@ -64,26 +55,17 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), eventsFanoutTimeout)
-	defer cancel()
-
-	type nodeEvents struct {
-		node   string
-		events []journal.Event
-		ok     bool
+	local := nodeResult[[]journal.Event]{node: g.cfg.Self, val: g.localEvents(q), ok: true}
+	path := "/debug/events"
+	if r.URL.RawQuery != "" {
+		path += "?" + r.URL.RawQuery
 	}
-	results := make([]nodeEvents, 1+len(g.remotePeers))
-	results[0] = nodeEvents{node: g.cfg.Self, events: g.localEvents(q), ok: true}
-	var wg sync.WaitGroup
-	for i, peer := range g.remotePeers {
-		wg.Add(1)
-		go func(slot int, peer string) {
-			defer wg.Done()
-			events, ok := g.fetchEvents(ctx, peer, r.URL.RawQuery)
-			results[slot] = nodeEvents{node: peer, events: events, ok: ok}
-		}(1+i, peer)
-	}
-	wg.Wait()
+	results := fanOut(r.Context(), fleetTimeout, &local, g.remotePeers,
+		func(ctx context.Context, peer string) ([]journal.Event, bool) {
+			// A clean "journal disabled" 404 is an answer with no events.
+			eres, err := getJSON[server.EventsResponse](ctx, g, peer, path, maxEventsResponseBytes, "events")
+			return eres.Events, err == nil || errors.Is(err, errPeerNotFound)
+		})
 
 	out := FleetEvents{Self: g.cfg.Self}
 	var timelines [][]journal.Event
@@ -93,8 +75,8 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		out.Nodes = append(out.Nodes, res.node)
-		if len(res.events) > 0 {
-			timelines = append(timelines, res.events)
+		if len(res.val) > 0 {
+			timelines = append(timelines, res.val)
 		}
 	}
 	out.Events = mergeTimelines(timelines)
@@ -157,49 +139,4 @@ func mergeTimelines(timelines [][]journal.Event) []journal.Event {
 		}
 	}
 	return out
-}
-
-// fetchEvents asks one peer for its journal slice. ok=false means the peer
-// could not answer (down or erroring); a clean "journal disabled" 404 is
-// ok=true with no events.
-func (g *Gateway) fetchEvents(ctx context.Context, peer, rawQuery string) ([]journal.Event, bool) {
-	url := "http://" + peer + "/debug/events"
-	if rawQuery != "" {
-		url += "?" + rawQuery
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, false
-	}
-	id := telemetry.FromContext(ctx).ID()
-	if !telemetry.ValidID(id) {
-		id = telemetry.NewID()
-	}
-	req.Header.Set("X-Request-Id", id)
-	if g.cfg.Secret != "" {
-		req.Header.Set(headerSecret, g.cfg.Secret)
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, true
-	}
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, false
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxEventsResponseBytes))
-	if err != nil {
-		return nil, false
-	}
-	var eres server.EventsResponse
-	if err := json.Unmarshal(body, &eres); err != nil {
-		g.cfg.Logger.Warn("cluster: bad events payload", "peer", peer, "error", err)
-		return nil, false
-	}
-	return eres.Events, true
 }

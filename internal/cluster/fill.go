@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -76,19 +75,9 @@ func (f *peerFiller) Fill(ctx context.Context, key string, _ *modelio.SolveReque
 // alone.
 func (f *peerFiller) fetch(ctx context.Context, peer string, body []byte, parentSpan string) (*core.Result, *core.Checkpoint, bool) {
 	g := f.g
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+peer+"/cluster/v1/export", bytes.NewReader(body))
+	req, err := newPeerRequest(ctx, http.MethodPost, "http://"+peer+"/cluster/v1/export", g.cfg.Secret, body, parentSpan)
 	if err != nil {
 		return nil, nil, false
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if g.cfg.Secret != "" {
-		req.Header.Set(headerSecret, g.cfg.Secret)
-	}
-	if tr := telemetry.FromContext(ctx); tr.ID() != "" {
-		req.Header.Set("X-Request-Id", tr.ID())
-	}
-	if parentSpan != "" {
-		req.Header.Set("X-Parent-Span", parentSpan)
 	}
 	resp, err := g.client.Do(req)
 	if err != nil {

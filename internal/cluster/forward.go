@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -228,26 +227,16 @@ func (g *Gateway) forwardOne(ctx context.Context, peer, path string, body []byte
 
 	g.metrics.forwards.Add(1)
 	start := time.Now()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+peer+path, bytes.NewReader(body))
+	req, err := newPeerRequest(ctx, http.MethodPost, "http://"+peer+path, g.cfg.Secret, body, span.ID())
 	if err != nil {
 		return fwdResult{peer: peer, err: err, hedged: hedge}
 	}
-	req.Header.Set("Content-Type", "application/json")
 	for k, vs := range extra {
 		for _, v := range vs {
 			req.Header.Add(k, v)
 		}
 	}
 	req.Header.Set(headerForwarded, g.cfg.Self)
-	if g.cfg.Secret != "" {
-		req.Header.Set(headerSecret, g.cfg.Secret)
-	}
-	if id := tr.ID(); id != "" {
-		req.Header.Set("X-Request-Id", id)
-	}
-	if sid := span.ID(); sid != "" {
-		req.Header.Set("X-Parent-Span", sid)
-	}
 	resp, err := g.client.Do(req)
 	if err != nil {
 		span.SetAttr("error", err.Error())

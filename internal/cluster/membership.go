@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/journal"
-	"repro/internal/telemetry"
 )
 
 // membership tracks which members are serving and maintains the routing ring
@@ -195,18 +194,14 @@ func (m *membership) probeLoop(ctx context.Context, peer string) {
 	}
 }
 
-// probe performs one GET /healthz round-trip. Probes carry a fresh
-// X-Request-Id (and the cluster secret when configured) like every other
-// outbound fabric request, so a probe is attributable in the peer's access
-// log and never shows up as an anonymous hit.
+// probe performs one GET /healthz round-trip. Probes are built like every
+// other outbound fabric request (newPeerRequest): the probe loop is untraced,
+// so each probe carries a fresh X-Request-Id and is attributable in the
+// peer's access log rather than an anonymous hit.
 func (m *membership) probe(ctx context.Context, peer string) bool {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+peer+"/healthz", nil)
+	req, err := newPeerRequest(ctx, http.MethodGet, "http://"+peer+"/healthz", m.secret, nil, "")
 	if err != nil {
 		return false
-	}
-	req.Header.Set("X-Request-Id", telemetry.NewID())
-	if m.secret != "" {
-		req.Header.Set(headerSecret, m.secret)
 	}
 	resp, err := m.client.Do(req)
 	if err != nil {

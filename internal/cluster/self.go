@@ -2,20 +2,11 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/modelio"
-	"repro/internal/telemetry"
 )
-
-// selfFanoutTimeout bounds the fleet self-model collection round. Reports
-// are small in-memory reads, so a member that cannot answer in this window
-// is listed as missing rather than stalling the fleet view.
-const selfFanoutTimeout = 5 * time.Second
 
 // maxSelfResponseBytes caps one member's self-report payload; the curve is
 // downsampled to at most 64 points, so 1 MiB is far past anything legal.
@@ -31,31 +22,12 @@ func (g *Gateway) handleSelf(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	ctx, cancel := context.WithTimeout(r.Context(), selfFanoutTimeout)
-	defer cancel()
-
-	type nodeSelf struct {
-		node string
-		self *modelio.SelfResponse
-		ok   bool
-	}
-	results := make([]nodeSelf, 1+len(g.remotePeers))
-	local := g.local.SelfReport()
-	local.Node = g.cfg.Self
-	results[0] = nodeSelf{node: g.cfg.Self, self: &local, ok: true}
-	var wg sync.WaitGroup
-	for i, peer := range g.remotePeers {
-		wg.Add(1)
-		go func(slot int, peer string) {
-			defer wg.Done()
-			self, ok := g.fetchSelf(ctx, peer)
-			results[slot] = nodeSelf{node: peer, self: self, ok: ok}
-		}(1+i, peer)
-	}
-	wg.Wait()
+	local := nodeResult[modelio.SelfResponse]{node: g.cfg.Self, val: g.local.SelfReport(), ok: true}
+	results := fanOut(r.Context(), fleetTimeout, &local, g.remotePeers, g.peerSelf)
 
 	out := modelio.ClusterSelfResponse{Self: g.cfg.Self}
-	for _, res := range results {
+	for i := range results {
+		res := &results[i]
 		if !res.ok {
 			out.Missing = append(out.Missing, res.node)
 			out.Nodes = append(out.Nodes, modelio.ClusterSelfNode{
@@ -63,19 +35,20 @@ func (g *Gateway) handleSelf(w http.ResponseWriter, r *http.Request) {
 			})
 			continue
 		}
-		res.self.Node = res.node
-		out.Nodes = append(out.Nodes, modelio.ClusterSelfNode{Member: res.node, Self: res.self})
-		out.FleetInFlight += res.self.InFlight
-		if adm := res.self.Admission; adm != nil {
+		self := &res.val
+		self.Node = res.node
+		out.Nodes = append(out.Nodes, modelio.ClusterSelfNode{Member: res.node, Self: self})
+		out.FleetInFlight += self.InFlight
+		if adm := self.Admission; adm != nil {
 			out.FleetShed += adm.Shed
 			out.FleetRedirected += adm.Redirected
 			out.FleetCoalesced += adm.Coalesced
 		}
-		if res.self.Ready {
+		if self.Ready {
 			out.ReadyNodes++
-			out.FleetMaxSafe += res.self.MaxSafeN
-			out.FleetHeadroom += res.self.Headroom
-			if res.self.ShedAdvised {
+			out.FleetMaxSafe += self.MaxSafeN
+			out.FleetHeadroom += self.Headroom
+			if self.ShedAdvised {
 				out.ShedAdvised = true
 			}
 		}
@@ -84,42 +57,8 @@ func (g *Gateway) handleSelf(w http.ResponseWriter, r *http.Request) {
 	g.local.WriteJSON(w, http.StatusOK, out)
 }
 
-// fetchSelf asks one peer for its self-report. ok=false means the peer could
-// not answer (down, erroring, or an undecodable payload). The sub-request
-// reuses the calling request's trace id when one is in the context (a
-// redirect deciding where to divert must stay under the original
-// X-Request-Id in every node's access log), minting a fresh id only for
-// untraced callers.
-func (g *Gateway) fetchSelf(ctx context.Context, peer string) (*modelio.SelfResponse, bool) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+peer+"/v1/self", nil)
-	if err != nil {
-		return nil, false
-	}
-	id := telemetry.FromContext(ctx).ID()
-	if !telemetry.ValidID(id) {
-		id = telemetry.NewID()
-	}
-	req.Header.Set("X-Request-Id", id)
-	if g.cfg.Secret != "" {
-		req.Header.Set(headerSecret, g.cfg.Secret)
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, false
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxSelfResponseBytes))
-	if err != nil {
-		return nil, false
-	}
-	var self modelio.SelfResponse
-	if err := json.Unmarshal(body, &self); err != nil {
-		g.cfg.Logger.Warn("cluster: bad self payload", "peer", peer, "error", err)
-		return nil, false
-	}
-	return &self, true
+// peerSelf reads one peer's self-report; a 404 counts as unreachable.
+func (g *Gateway) peerSelf(ctx context.Context, peer string) (modelio.SelfResponse, bool) {
+	self, err := getJSON[modelio.SelfResponse](ctx, g, peer, "/v1/self", maxSelfResponseBytes, "self")
+	return self, err == nil
 }

@@ -2,22 +2,14 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"io"
+	"errors"
 	"net/http"
 	"strings"
-	"sync"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/telemetry"
 )
-
-// traceFanoutTimeout bounds the whole trace collection round: fragment reads
-// are small and local, so a member that cannot answer in this window is
-// treated as missing rather than stalling the stitch.
-const traceFanoutTimeout = 5 * time.Second
 
 // maxTraceResponseBytes caps one member's fragment payload. A single trace is
 // bounded by the recorder's own caps, so 16 MiB is far past anything legal.
@@ -53,26 +45,13 @@ func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
 		g.local.WriteError(w, http.StatusBadRequest, "bad trace id")
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), traceFanoutTimeout)
-	defer cancel()
-
-	type nodeFrags struct {
-		node  string
-		frags []*obs.RecordedRequest
-		ok    bool
-	}
-	results := make([]nodeFrags, 1+len(g.remotePeers))
-	results[0] = nodeFrags{node: g.cfg.Self, frags: g.local.Recorder().Get(id), ok: true}
-	var wg sync.WaitGroup
-	for i, peer := range g.remotePeers {
-		wg.Add(1)
-		go func(slot int, peer string) {
-			defer wg.Done()
-			frags, ok := g.fetchTraceFragments(ctx, peer, id)
-			results[slot] = nodeFrags{node: peer, frags: frags, ok: ok}
-		}(1+i, peer)
-	}
-	wg.Wait()
+	local := nodeResult[[]*obs.RecordedRequest]{node: g.cfg.Self, val: g.local.Recorder().Get(id), ok: true}
+	results := fanOut(r.Context(), fleetTimeout, &local, g.remotePeers,
+		func(ctx context.Context, peer string) ([]*obs.RecordedRequest, bool) {
+			// A clean "I have nothing" 404 is an answer with no fragments.
+			tres, err := getJSON[server.TraceResponse](ctx, g, peer, "/debug/traces/"+id, maxTraceResponseBytes, "trace")
+			return tres.Fragments, err == nil || errors.Is(err, errPeerNotFound)
+		})
 
 	out := StitchedTrace{ID: id}
 	for _, res := range results {
@@ -80,9 +59,9 @@ func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
 			out.Missing = append(out.Missing, res.node)
 			continue
 		}
-		if len(res.frags) > 0 {
+		if len(res.val) > 0 {
 			out.Nodes = append(out.Nodes, res.node)
-			out.Fragments = append(out.Fragments, res.frags...)
+			out.Fragments = append(out.Fragments, res.val...)
 		}
 	}
 	if len(out.Fragments) == 0 {
@@ -93,41 +72,4 @@ func (g *Gateway) handleTrace(w http.ResponseWriter, r *http.Request) {
 	obs.RenderTree(&tree, obs.Stitch(out.Fragments))
 	out.Tree = tree.String()
 	g.local.WriteJSON(w, http.StatusOK, out)
-}
-
-// fetchTraceFragments asks one peer for its local fragments of the trace.
-// ok=false means the peer could not answer (down, erroring, or recorder
-// disabled); a clean "I have nothing" 404 is ok=true with no fragments.
-func (g *Gateway) fetchTraceFragments(ctx context.Context, peer, id string) ([]*obs.RecordedRequest, bool) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+peer+"/debug/traces/"+id, nil)
-	if err != nil {
-		return nil, false
-	}
-	req.Header.Set("X-Request-Id", telemetry.NewID())
-	if g.cfg.Secret != "" {
-		req.Header.Set(headerSecret, g.cfg.Secret)
-	}
-	resp, err := g.client.Do(req)
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, true
-	}
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil, false
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxTraceResponseBytes))
-	if err != nil {
-		return nil, false
-	}
-	var tres server.TraceResponse
-	if err := json.Unmarshal(body, &tres); err != nil {
-		g.cfg.Logger.Warn("cluster: bad trace payload", "peer", peer, "error", err)
-		return nil, false
-	}
-	return tres.Fragments, true
 }

@@ -167,10 +167,11 @@ func TestForwardDurationMetric(t *testing.T) {
 }
 
 // TestOutboundHeaderPropagation audits every outbound request the fabric
-// makes — forwards (hedged or not), peer fills, health probes, and trace
-// fragment collection — against a header-recording fake peer: all must carry
-// X-Request-Id and, when configured, X-Cluster-Secret; forwards must carry
-// X-Parent-Span naming their forward span.
+// makes — forwards (hedged or not), peer fills, health probes, and the
+// trace, events and self fleet collections — against a header-recording fake
+// peer: all must carry X-Cluster-Secret and the caller's trace ID as
+// X-Request-Id, or a fresh valid ID when the caller is untraced; forwards
+// and fills must carry X-Parent-Span naming their span.
 func TestOutboundHeaderPropagation(t *testing.T) {
 	const secret = "audit-secret"
 	var mu sync.Mutex
@@ -205,65 +206,93 @@ func TestOutboundHeaderPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	serve := func(ctx context.Context, h http.HandlerFunc, target string) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodGet, target, nil).WithContext(ctx)
+		req.Header.Set("X-Cluster-Secret", secret)
+		rec := httptest.NewRecorder()
+		h(rec, req)
+		return rec
+	}
+	// A local fragment makes the stitch answer 200, so the fake's clean 404
+	// must count as an answer, not as a missing member.
+	srv.Recorder().ForceRecord(telemetry.New("audit-trace-1", nil), "audit", http.StatusOK, 0)
 
-	tr := telemetry.New("audit-trace-1", nil)
-	root := tr.StartRoot("audit")
-	defer root.End()
-	ctx := telemetry.WithTrace(context.Background(), tr)
+	for _, traceID := range []string{"audit-trace-1", ""} {
+		mu.Lock()
+		clear(seen)
+		mu.Unlock()
+		ctx := context.Background()
+		var tr *telemetry.Trace
+		if traceID != "" {
+			tr = telemetry.New(traceID, nil)
+			root := tr.StartRoot("audit")
+			defer root.End()
+			ctx = telemetry.WithTrace(ctx, tr)
+		}
 
-	// 1. Forward (the hedge path is the same function with hedge=true).
-	res := gw.forwardOne(ctx, fakeAddr, "/v1/solve", []byte(`{}`), false, nil)
-	if res.err != nil || res.status != http.StatusOK {
-		t.Fatalf("forwardOne: %+v", res)
-	}
-	// 2. Peer fill.
-	filler := &peerFiller{g: gw}
-	fillSpan := tr.StartSpan("peer-fill")
-	filler.fetch(ctx, fakeAddr, []byte(`{}`), fillSpan.ID())
-	fillSpan.End()
-	// 3. Health probe.
-	if !gw.members.probe(ctx, fakeAddr) {
-		t.Fatal("probe failed against the fake peer")
-	}
-	// 4. Trace fragment collection.
-	if _, ok := gw.fetchTraceFragments(ctx, fakeAddr, "audit-trace-1"); !ok {
-		t.Fatal("fetchTraceFragments treated a clean 404 as failure")
-	}
+		// Forward (the hedge path is the same function with hedge=true).
+		res := gw.forwardOne(ctx, fakeAddr, "/v1/solve", []byte(`{}`), false, nil)
+		if res.err != nil || res.status != http.StatusOK {
+			t.Fatalf("forwardOne: %+v", res)
+		}
+		// Peer fill.
+		filler := &peerFiller{g: gw}
+		fillSpan := tr.StartSpan("peer-fill")
+		filler.fetch(ctx, fakeAddr, []byte(`{}`), fillSpan.ID())
+		fillSpan.End()
+		// Health probe.
+		if !gw.members.probe(ctx, fakeAddr) {
+			t.Fatal("probe failed against the fake peer")
+		}
+		// Fleet collections: trace, events and self.
+		if rec := serve(ctx, gw.handleTrace, "/cluster/v1/trace/audit-trace-1"); rec.Code != http.StatusOK || strings.Contains(rec.Body.String(), `"missing"`) {
+			t.Errorf("trace: the fake peer's clean 404 was not counted as an answer: %d %s", rec.Code, rec.Body)
+		}
+		if rec := serve(ctx, gw.handleEvents, "/cluster/v1/events"); !strings.Contains(rec.Body.String(), `"nodes":["127.0.0.1:1","`+fakeAddr+`"]`) {
+			t.Errorf("events: the fake peer's answer was not counted: %d %s", rec.Code, rec.Body)
+		}
+		if rec := serve(ctx, gw.handleSelf, "/cluster/v1/self"); strings.Contains(rec.Body.String(), `"missing"`) {
+			t.Errorf("self: the fake peer's answer was not counted: %d %s", rec.Code, rec.Body)
+		}
 
-	mu.Lock()
-	defer mu.Unlock()
-	checks := []struct {
-		path       string
-		wantParent bool
-	}{
-		{"/v1/solve", true},
-		{"/cluster/v1/export", true},
-		{"/healthz", false},
-		{"/debug/traces/audit-trace-1", false},
-	}
-	for _, c := range checks {
-		h, ok := seen[c.path]
-		if !ok {
-			t.Errorf("no outbound request hit %s", c.path)
-			continue
+		mu.Lock()
+		checks := []struct {
+			path       string
+			wantParent bool
+		}{
+			{"/v1/solve", true},
+			{"/cluster/v1/export", true},
+			{"/healthz", false},
+			{"/debug/traces/audit-trace-1", false},
+			{"/debug/events", false},
+			{"/v1/self", false},
 		}
-		if id := h.Get("X-Request-Id"); !telemetry.ValidID(id) {
-			t.Errorf("%s: X-Request-Id %q invalid or missing", c.path, id)
-		}
-		if got := h.Get("X-Cluster-Secret"); got != secret {
-			t.Errorf("%s: X-Cluster-Secret = %q, want the configured secret", c.path, got)
-		}
-		if c.wantParent {
-			if p := h.Get("X-Parent-Span"); !telemetry.ValidID(p) {
-				t.Errorf("%s: X-Parent-Span %q invalid or missing", c.path, p)
+		for _, c := range checks {
+			h, ok := seen[c.path]
+			if !ok {
+				t.Errorf("%q: no outbound request hit %s", traceID, c.path)
+				continue
+			}
+			id := h.Get("X-Request-Id")
+			switch {
+			case traceID != "" && id != traceID:
+				t.Errorf("%s: X-Request-Id %q, want the caller's trace ID %q", c.path, id, traceID)
+			case traceID == "" && (!telemetry.ValidID(id) || id == "audit-trace-1"):
+				t.Errorf("%s: untraced X-Request-Id %q, want a fresh valid ID", c.path, id)
+			}
+			if got := h.Get("X-Cluster-Secret"); got != secret {
+				t.Errorf("%s: X-Cluster-Secret = %q, want the configured secret", c.path, got)
+			}
+			if c.wantParent && traceID != "" {
+				if p := h.Get("X-Parent-Span"); !telemetry.ValidID(p) {
+					t.Errorf("%s: X-Parent-Span %q invalid or missing", c.path, p)
+				}
 			}
 		}
-	}
-	if got := seen["/v1/solve"].Get("X-Request-Id"); got != "audit-trace-1" {
-		t.Errorf("forward propagated X-Request-Id %q, want the caller's trace ID", got)
-	}
-	if got := seen["/v1/solve"].Get("X-Cluster-Forwarded"); got == "" {
-		t.Error("forward did not mark the hop with X-Cluster-Forwarded")
+		if got := seen["/v1/solve"].Get("X-Cluster-Forwarded"); got == "" {
+			t.Error("forward did not mark the hop with X-Cluster-Forwarded")
+		}
+		mu.Unlock()
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 // The *WithContext solver variants accept a context whose cancellation or
 // deadline aborts the recursion between population steps (and, for MVASD's
 // throughput mode, between fixed-point iterations). The plain entry points
-// remain non-cancellable and allocate nothing extra; a solver service (see
-// internal/server) threads per-request deadlines through these variants so a
-// maxN in the tens of thousands cannot pin a worker forever.
+// remain non-cancellable and allocate nothing extra. A caller that needs
+// cancellation for another algorithm runs its resumable Solver with
+// RunContext, as the solver service (internal/server) does.
 
 // stepCancel returns a cheap per-step cancellation probe for ctx, or nil when
 // the context can never be cancelled (context.Background() and friends), so
@@ -35,18 +35,6 @@ func stepCancel(ctx context.Context) func(n int) error {
 	}
 }
 
-// ExactMVAWithContext is ExactMVA with per-population-step cancellation.
-func ExactMVAWithContext(ctx context.Context, m *queueing.Model, maxN int) (*Result, error) {
-	return exactMVA(ctx, m, maxN)
-}
-
-// SchweitzerWithContext is Schweitzer with per-population-step cancellation
-// (each population's fixed point is checked once per population, which bounds
-// the overrun to one population's MaxIter iterations).
-func SchweitzerWithContext(ctx context.Context, m *queueing.Model, maxN int, opts SchweitzerOptions) (*Result, error) {
-	return schweitzer(ctx, m, maxN, opts)
-}
-
 // ExactMVAMultiServerWithContext is ExactMVAMultiServer with
 // per-population-step cancellation.
 func ExactMVAMultiServerWithContext(ctx context.Context, m *queueing.Model, maxN int, opts MultiServerOptions) (*Result, *MarginalTrace, error) {
@@ -58,10 +46,4 @@ func ExactMVAMultiServerWithContext(ctx context.Context, m *queueing.Model, maxN
 // so even a slowly converging step aborts promptly.
 func MVASDWithContext(ctx context.Context, m *queueing.Model, maxN int, dm DemandModel, opts MVASDOptions) (*Result, error) {
 	return mvasd(ctx, m, maxN, dm, opts)
-}
-
-// MVASDSingleServerWithContext is MVASDSingleServer with per-population-step
-// cancellation.
-func MVASDSingleServerWithContext(ctx context.Context, m *queueing.Model, maxN int, dm DemandModel, opts MVASDOptions) (*Result, error) {
-	return mvasdSingleServer(ctx, m, maxN, dm, opts)
 }

@@ -42,21 +42,21 @@ func TestAlreadyCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	dm := ConstantDemands(m.Demands())
-	cases := map[string]func() error{
-		"exact": func() error { _, err := ExactMVAWithContext(ctx, m, 50); return err },
-		"schweitzer": func() error {
-			_, err := SchweitzerWithContext(ctx, m, 50, SchweitzerOptions{})
+	run := func(s *Solver, err error) error {
+		if err != nil {
 			return err
-		},
+		}
+		return s.RunContext(ctx, 50)
+	}
+	cases := map[string]func() error{
+		"exact":      func() error { return run(NewExactMVASolver(m)) },
+		"schweitzer": func() error { return run(NewSchweitzerSolver(m, SchweitzerOptions{})) },
 		"multiserver": func() error {
 			_, _, err := ExactMVAMultiServerWithContext(ctx, m, 50, MultiServerOptions{TraceStation: -1})
 			return err
 		},
-		"mvasd": func() error { _, err := MVASDWithContext(ctx, m, 50, dm, MVASDOptions{}); return err },
-		"mvasd-1s": func() error {
-			_, err := MVASDSingleServerWithContext(ctx, m, 50, dm, MVASDOptions{})
-			return err
-		},
+		"mvasd":    func() error { _, err := MVASDWithContext(ctx, m, 50, dm, MVASDOptions{}); return err },
+		"mvasd-1s": func() error { return run(NewMVASDSingleServerSolver(m, dm, MVASDOptions{})) },
 	}
 	for name, solve := range cases {
 		if err := solve(); !errors.Is(err, context.Canceled) {

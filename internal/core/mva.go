@@ -151,10 +151,6 @@ func NewExactMVASolver(m *queueing.Model) (*Solver, error) {
 // NormalizeServers) for multi-core resources. Delay stations contribute
 // their demand without queueing.
 func ExactMVA(m *queueing.Model, maxN int) (*Result, error) {
-	return exactMVA(context.Background(), m, maxN)
-}
-
-func exactMVA(ctx context.Context, m *queueing.Model, maxN int) (*Result, error) {
 	if err := validateRun(m, maxN); err != nil {
 		return nil, err
 	}
@@ -162,7 +158,7 @@ func exactMVA(ctx context.Context, m *queueing.Model, maxN int) (*Result, error)
 	if err != nil {
 		return nil, err
 	}
-	return runToCompletion(ctx, s, maxN)
+	return runToCompletion(context.Background(), s, maxN)
 }
 
 // NormalizeServers returns a copy of the model in which every multi-server
@@ -325,10 +321,6 @@ func NewSchweitzerSolver(m *queueing.Model, opts SchweitzerOptions) (*Solver, er
 // near saturation, where a cold balanced start needs hundreds of
 // iterations.
 func Schweitzer(m *queueing.Model, maxN int, opts SchweitzerOptions) (*Result, error) {
-	return schweitzer(context.Background(), m, maxN, opts)
-}
-
-func schweitzer(ctx context.Context, m *queueing.Model, maxN int, opts SchweitzerOptions) (*Result, error) {
 	if err := validateRun(m, maxN); err != nil {
 		return nil, err
 	}
@@ -336,5 +328,5 @@ func schweitzer(ctx context.Context, m *queueing.Model, maxN int, opts Schweitze
 	if err != nil {
 		return nil, err
 	}
-	return runToCompletion(ctx, s, maxN)
+	return runToCompletion(context.Background(), s, maxN)
 }

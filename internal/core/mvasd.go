@@ -261,13 +261,9 @@ func NewMVASDSingleServerSolver(m *queueing.Model, dm DemandModel, opts MVASDOpt
 // marginal-probability correction. The paper shows this under-performs the
 // multi-server model, especially when the bottleneck is a multi-core CPU.
 func MVASDSingleServer(m *queueing.Model, maxN int, dm DemandModel, opts MVASDOptions) (*Result, error) {
-	return mvasdSingleServer(context.Background(), m, maxN, dm, opts)
-}
-
-func mvasdSingleServer(ctx context.Context, m *queueing.Model, maxN int, dm DemandModel, opts MVASDOptions) (*Result, error) {
 	s, err := NewMVASDSingleServerSolver(m, dm, opts)
 	if err != nil {
 		return nil, err
 	}
-	return runToCompletion(ctx, s, maxN)
+	return runToCompletion(context.Background(), s, maxN)
 }

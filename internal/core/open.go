@@ -34,8 +34,7 @@ type OpenResult struct {
 // arrival rate λ·V_k (Delay stations as M/G/∞). This is the analysis the
 // paper's Section 7 gestures at for "open systems where throughput can be
 // modified much easier rather than increasing the concurrency" — here λ is
-// the control knob and the demand-vs-throughput curves plug in naturally
-// via OpenNetworkVarying.
+// the control knob.
 func OpenNetwork(m *queueing.Model, lambda float64) (*OpenResult, error) {
 	if err := m.ValidateShape(); err != nil {
 		return nil, err
@@ -43,11 +42,7 @@ func OpenNetwork(m *queueing.Model, lambda float64) (*OpenResult, error) {
 	if lambda < 0 || math.IsNaN(lambda) {
 		return nil, fmt.Errorf("%w: arrival rate %g", ErrBadRun, lambda)
 	}
-	return openSolve(m, lambda, m.Demands()), nil
-}
-
-// openSolve evaluates the M/M/C formulas with the supplied demands.
-func openSolve(m *queueing.Model, lambda float64, demands []float64) *OpenResult {
+	demands := m.Demands()
 	k := len(m.Stations)
 	res := &OpenResult{
 		Lambda:       lambda,
@@ -100,43 +95,7 @@ func openSolve(m *queueing.Model, lambda float64, demands []float64) *OpenResult
 	} else {
 		res.Population = math.Inf(1)
 	}
-	return res
-}
-
-// OpenNetworkVarying solves the open network with demands that depend on
-// throughput (the Section-7 demand-vs-throughput curves): in an open system
-// the steady-state throughput equals the arrival rate, so the demands are
-// simply evaluated at λ — no fixed point needed, which is exactly why the
-// paper calls this mode "more tractable … for open systems".
-func OpenNetworkVarying(m *queueing.Model, lambda float64, dm DemandModel) (*OpenResult, error) {
-	if err := m.ValidateShape(); err != nil {
-		return nil, err
-	}
-	if dm == nil {
-		return nil, fmt.Errorf("%w: nil demand model", ErrBadRun)
-	}
-	if dm.Stations() != len(m.Stations) {
-		return nil, fmt.Errorf("%w: demand model covers %d stations, model has %d",
-			ErrBadRun, dm.Stations(), len(m.Stations))
-	}
-	if lambda < 0 || math.IsNaN(lambda) {
-		return nil, fmt.Errorf("%w: arrival rate %g", ErrBadRun, lambda)
-	}
-	demands := make([]float64, len(m.Stations))
-	for i := range demands {
-		demands[i] = dm.DemandAt(i, 0, lambda)
-	}
-	// openSolve derives per-visit service times from the model's stations;
-	// with varying demands, fold them as S = D/V.
-	trial := *m
-	trial.Stations = append([]queueing.Station(nil), m.Stations...)
-	for i := range trial.Stations {
-		v := trial.Stations[i].Visits
-		if v > 0 {
-			trial.Stations[i].ServiceTime = demands[i] / v
-		}
-	}
-	return openSolve(&trial, lambda, demands), nil
+	return res, nil
 }
 
 // SaturationRate returns the largest stable arrival rate of the open

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/interp"
 	"repro/internal/numeric"
 	"repro/internal/queueing"
 )
@@ -172,42 +171,6 @@ func TestSaturationRateDelayOnly(t *testing.T) {
 	}
 }
 
-func TestOpenNetworkVarying(t *testing.T) {
-	// Demands that fall with throughput: at high λ the varying network is
-	// stable where the λ-0 demands would not be.
-	m := &queueing.Model{
-		Name: "open-vary",
-		Stations: []queueing.Station{
-			{Name: "q", Kind: queueing.CPU, Servers: 1, Visits: 1, ServiceTime: 0.02},
-		},
-	}
-	dm, err := NewThroughputDemands(interp.Linear,
-		[]DemandSamples{{At: []float64{0, 100}, Demands: []float64{0.02, 0.008}}},
-		interp.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At λ=60 the demand is 0.0128 → ρ=0.768, stable; with the λ=0 demand
-	// 0.02 it would be ρ=1.2, unstable.
-	fixed, err := OpenNetwork(m, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fixed.Stable {
-		t.Fatal("fixed-demand network at λ=60 should be unstable")
-	}
-	varying, err := OpenNetworkVarying(m, 60, dm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !varying.Stable {
-		t.Fatal("varying-demand network at λ=60 should be stable")
-	}
-	if !numeric.AlmostEqual(varying.Util[0], 60*0.0128, 1e-9) {
-		t.Errorf("ρ = %g, want %g", varying.Util[0], 60*0.0128)
-	}
-}
-
 func TestOpenNetworkErrors(t *testing.T) {
 	m := &queueing.Model{
 		Name: "err",
@@ -220,11 +183,5 @@ func TestOpenNetworkErrors(t *testing.T) {
 	}
 	if _, err := OpenNetwork(&queueing.Model{}, 1); err == nil {
 		t.Error("invalid model should error")
-	}
-	if _, err := OpenNetworkVarying(m, 1, nil); !errors.Is(err, ErrBadRun) {
-		t.Errorf("nil demand model: %v", err)
-	}
-	if _, err := OpenNetworkVarying(m, 1, ConstantDemands{1, 2}); !errors.Is(err, ErrBadRun) {
-		t.Errorf("mismatched demand model: %v", err)
 	}
 }

@@ -11,7 +11,7 @@
 //
 // Request bodies reuse the modelio model/samples formats. Identical solves
 // are deduplicated in flight and served from an LRU cache; per-request
-// deadlines are threaded into the solver recursions (core.*WithContext) so
+// deadlines are threaded into the solver recursions (core.Solver.RunContext) so
 // a runaway maxN cancels instead of pinning a worker; SIGTERM-driven
 // shutdown drains in-flight requests.
 //
