@@ -629,13 +629,21 @@ func benchSolveBodies(b *testing.B) map[string][]byte {
 }
 
 // BenchmarkSolverDecode measures decoding one /v1/solve body into a
-// request, the first layer of every solve.
+// request, the first layer of every solve. A repeated body finds its model
+// and samples in the decoder's memo; mvasd-miss is the mvasd body with a
+// fresh model name and a fresh first demand on every decode, so both values
+// miss, are parsed and are stored, and the samples lookup first compares
+// every earlier entry, which shares its leading bytes.
 func BenchmarkSolverDecode(b *testing.B) {
 	bodies := benchSolveBodies(b)
-	for _, name := range []string{"multiserver", "mvasd", "fallback"} {
-		body := bodies[name]
+	for _, name := range []string{"multiserver", "mvasd", "mvasd-miss", "fallback"} {
+		body, fresh := bodies[name], func() {}
+		if name == "mvasd-miss" {
+			body, fresh = missBody(b, bodies["mvasd"])
+		}
 		b.Run(name, func(b *testing.B) {
 			decode := func() {
+				fresh()
 				var req modelio.SolveRequest
 				if err := modelio.DecodeSolveRequest(body, &req); err != nil {
 					b.Fatal(err)
@@ -648,6 +656,30 @@ func BenchmarkSolverDecode(b *testing.B) {
 			b.StopTimer()
 			recordBenchAllocs(b, "body_bytes", float64(len(body)), testing.AllocsPerRun(32, decode))
 		})
+	}
+}
+
+// missBody returns a copy of an mvasd body whose model name ends in eight
+// digits and whose first demand's last eight digits are replaced, and a
+// function that writes the next counter value into both, so every decode
+// sees a model and samples it has not seen before.
+func missBody(b *testing.B, mvasd []byte) ([]byte, func()) {
+	const name = `"name":"VINS@N=1#`
+	body := bytes.Replace(mvasd, []byte(`"name":"VINS@N=1"`), []byte(name+`00000000"`), 1)
+	n := bytes.Index(body, []byte(name))
+	d := bytes.Index(body, []byte(`"demands":[`))
+	if n < 0 || d < 0 || bytes.IndexByte(body[d:], ',') < len(`"demands":[0.00000000`) {
+		b.Fatal("mvasd body does not have the expected model name and demands")
+	}
+	at := []int{n + len(name), d + bytes.IndexByte(body[d:], ',') - 8}
+	n = 0
+	return body, func() {
+		n++
+		for _, i := range at {
+			for j, v := i+7, n; j >= i; j, v = j-1, v/10 {
+				body[j] = byte('0' + v%10)
+			}
+		}
 	}
 }
 

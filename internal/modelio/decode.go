@@ -42,6 +42,11 @@ func DecodeStrict(body []byte, v any) error {
 // encoding/json converts them. Any other input (case-folded, unknown or
 // repeated keys, null, escapes, out-of-range or fractional integers,
 // trailing bytes, syntax errors) is decoded by DecodeStrict.
+//
+// The fast path looks the "model" and "samples" values up in a bounded memo
+// of earlier spans (memo.go) before parsing them, so r.Model and r.Samples
+// may be shared with other requests and must be treated as read-only. In
+// particular, never decode into a request that already holds them.
 func DecodeSolveRequest(body []byte, r *SolveRequest) error {
 	if *r == (SolveRequest{}) {
 		d := fastDecoder{b: body}
@@ -80,11 +85,9 @@ func (d *fastDecoder) solveRequest(r *SolveRequest) bool {
 		case "algorithm":
 			return d.str(&r.Algorithm)
 		case "model":
-			r.Model = new(queueing.Model)
-			return d.model(r.Model)
+			return memoized(d, &modelMemo, &r.Model, d.model)
 		case "samples":
-			r.Samples = new(SamplesFile)
-			return d.samples(r.Samples)
+			return memoized(d, &samplesMemo, &r.Samples, d.samples)
 		case "maxN":
 			return d.int(&r.MaxN)
 		case "interp":

@@ -261,7 +261,8 @@ func TestFastDecoderKeysMatchTags(t *testing.T) {
 // FuzzDecodeSolveRequest: for every input, DecodeSolveRequest returns
 // encoding/json's error text, and whatever the fast path accepts, the
 // reference decoder accepts with a reflect.DeepEqual, bit-identical
-// request.
+// request. Each input is decoded twice: from an empty memo, so its model and
+// samples are parsed, and then again, when they may come from the memo.
 //
 //	go test -run '^$' -fuzz '^FuzzDecodeSolveRequest$' -fuzztime 30s ./internal/modelio
 func FuzzDecodeSolveRequest(f *testing.F) {
@@ -274,6 +275,8 @@ func FuzzDecodeSolveRequest(f *testing.F) {
 	}
 	f.Add([]byte(`{"algorithm":"mvasd","model":` + parityModel + `,"samples":{"stations":[{"name":"q","at":[1,2.5e3,1E-2],"demands":[-0.1,0.2,3]}]},"maxN":5,"interp":"linear","demandAxis":"throughput","every":2,"decimate":3,"timeoutMs":100}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
+		resetMemos()
+		checkDecodeParity(t, body)
 		checkDecodeParity(t, body)
 	})
 }

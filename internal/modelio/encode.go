@@ -264,8 +264,17 @@ func appendStrings(b []byte, ss []string) []byte {
 }
 
 // appendString appends s exactly as json.Encoder encodes it: HTML-escaped,
-// invalid UTF-8 replaced, U+2028/U+2029 escaped.
+// invalid UTF-8 replaced, U+2028/U+2029 escaped. Printable ASCII other than
+// the quote, backslash and HTML characters encodes as itself, so such a
+// string is copied between quotes; any other goes through json.Marshal.
 func appendString(b []byte, s string) []byte {
-	q, _ := json.Marshal(s) // a string always encodes
-	return append(b, q...)
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }

@@ -236,3 +236,43 @@ func TestNewTrajectoryAliasesDenseRows(t *testing.T) {
 		t.Fatalf("AppendRecovered wrote into the Result: spare row %g", spare[20])
 	}
 }
+
+// checkAppendString asserts appendString appends json.Marshal's bytes for s
+// after whatever b already holds.
+func checkAppendString(t *testing.T, s string) {
+	t.Helper()
+	want, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := []byte("x,")
+	if got := appendString(prefix, s); !bytes.Equal(got, append(prefix, want...)) {
+		t.Fatalf("appendString(%q) = %s, json.Marshal %s", s, got[len(prefix):], want)
+	}
+}
+
+// TestAppendString covers both of appendString's paths: plain printable
+// ASCII copied between quotes, and every byte encoding/json escapes or
+// replaces handed to json.Marshal.
+func TestAppendString(t *testing.T) {
+	for _, s := range []string{
+		"", "db/cpu", "VINS@N=1", " !#$%'()*+,-./0123456789:;=?@[]^_`{|}~", "mvasd-1s",
+		`a"b`, `a\b`, "<script>", "a>b", "a&b", "\x00", "\x1f", "tab\there", "\n", "\x7f",
+		"é", " ", " ", "a b", "\xff", "a\xc3", "\xed\xa0\x80", "�", "😀",
+	} {
+		checkAppendString(t, s)
+	}
+	for c := 0; c < 256; c++ {
+		checkAppendString(t, "a"+string(rune(c))+"b")
+		checkAppendString(t, string([]byte{'a', byte(c), 'b'}))
+	}
+}
+
+// FuzzAppendString: for every string, appendString appends exactly
+// json.Marshal's encoding.
+func FuzzAppendString(f *testing.F) {
+	for _, s := range []string{"db/cpu", "<&>", "  ", "\xff\xfe", "\x00\x1f\x7f", `"\`} {
+		f.Add(s)
+	}
+	f.Fuzz(checkAppendString)
+}

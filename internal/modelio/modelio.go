@@ -115,21 +115,26 @@ func (s *SamplesFile) Validate() error {
 
 // validate checks one station's arrays; i is its position for error text.
 func (st *StationSamples) validate(i int) error {
-	label := fmt.Sprintf("station %d", i)
-	if st.Name != "" {
-		label = fmt.Sprintf("station %d (%q)", i, st.Name)
-	}
 	if len(st.At) == 0 || len(st.At) != len(st.Demands) {
 		return fmt.Errorf("modelio: %s: %d abscissae, %d demands",
-			label, len(st.At), len(st.Demands))
+			st.label(i), len(st.At), len(st.Demands))
 	}
 	for j := 1; j < len(st.At); j++ {
 		if !(st.At[j] > st.At[j-1]) { // also catches NaN
 			return fmt.Errorf("modelio: %s: abscissae not strictly increasing at index %d (%g after %g)",
-				label, j, st.At[j], st.At[j-1])
+				st.label(i), j, st.At[j], st.At[j-1])
 		}
 	}
 	return nil
+}
+
+// label names the station at position i in error text; it is built only
+// when an error is, since validate runs on every sample-driven solve.
+func (st *StationSamples) label(i int) string {
+	if st.Name == "" {
+		return fmt.Sprintf("station %d", i)
+	}
+	return fmt.Sprintf("station %d (%q)", i, st.Name)
 }
 
 // SaveSamples writes a demand-sample file.

@@ -55,3 +55,26 @@ func TestReadSamplesAcceptsIncreasingAt(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSamplesValidateErrorText pins Validate's error texts byte for byte,
+// with and without a station name, for both checks.
+func TestSamplesValidateErrorText(t *testing.T) {
+	ok := StationSamples{At: []float64{1, 2}, Demands: []float64{0.1, 0.2}}
+	for _, c := range []struct {
+		st   StationSamples
+		want string
+	}{
+		{StationSamples{At: []float64{1}}, "modelio: station 1: 1 abscissae, 0 demands"},
+		{StationSamples{Name: "db/disk"}, `modelio: station 1 ("db/disk"): 0 abscissae, 0 demands`},
+		{StationSamples{At: []float64{1, 3, 2}, Demands: []float64{1, 2, 3}}, "modelio: station 1: abscissae not strictly increasing at index 2 (2 after 3)"},
+		{StationSamples{Name: "a\"bé", At: []float64{1, 1}, Demands: []float64{1, 2}}, `modelio: station 1 ("a\"bé"): abscissae not strictly increasing at index 1 (1 after 1)`},
+	} {
+		err := (&SamplesFile{Stations: []StationSamples{ok, c.st}}).Validate()
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Validate error %v, want %q", err, c.want)
+		}
+	}
+	if err := (&SamplesFile{Stations: []StationSamples{ok}}).Validate(); err != nil {
+		t.Fatal(err)
+	}
+}
