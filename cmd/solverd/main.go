@@ -10,8 +10,7 @@
 //	        [-estimate-window 32] [-estimate-min-samples 8]
 //	        [-journal-events 512] [-profile-on-anomaly]
 //	        [-self-interval 2s] [-self-p99-bound 0]
-//	        [-shed-mode off|observe|enforce] [-coalesce-waiters 256]
-//	        [-coalesce-gather 0]
+//	        [-shed-mode off|observe|enforce]
 //	        [-log-format text|json] [-log-level debug|info|warn|error]
 //	solverd -peers host1:8080,host2:8080,host3:8080 -advertise host1:8080
 //	        [-replication 2] [-cluster-secret s]
@@ -43,13 +42,13 @@
 // "observe" (the default) only counts what enforce would have done, "enforce"
 // sheds past-the-knee arrivals with 429 + Retry-After — in cluster mode first
 // trying a redirect to a ring peer with advertised headroom — and "off"
-// disables the gate. Concurrent solves of one model with overlapping
-// population ranges coalesce into a single deep solve; -coalesce-waiters
-// bounds one flight's waiters and -coalesce-gather opts into a merge window
-// before each cold solve. -version prints build info and exits. -dump-profile does not
-// serve: it writes <profile>-model.json and <profile>-samples.json (the true
-// demand curves sampled at Chebyshev concurrencies) so the README's curl
-// examples have real request bodies to point at.
+// disables the gate. Concurrent solves of one model wait on its solve-cache
+// entry lock, and a waiter whose population the running solve covers is
+// answered from that run (counted as coalesced). -version prints build info
+// and exits. -dump-profile does not serve: it writes <profile>-model.json and
+// <profile>-samples.json (the true demand curves sampled at Chebyshev
+// concurrencies) so the README's curl examples have real request bodies to
+// point at.
 package main
 
 import (
@@ -105,8 +104,6 @@ func run(args []string, out io.Writer) error {
 	selfInterval := fs.Duration("self-interval", 0, "self-model sampling-window length (0 uses the default, 2s)")
 	selfP99Bound := fs.Duration("self-p99-bound", 0, "p99 latency bound tightening the self-model's safe concurrency (0 disables the bound)")
 	shedMode := fs.String("shed-mode", "observe", "admission gate mode: off, observe (count what enforce would do) or enforce (shed/redirect past the predicted knee)")
-	coalesceWaiters := fs.Int("coalesce-waiters", 0, "max requests waiting on one coalesced solve flight (0 uses the default, 256; negative disables coalescing)")
-	coalesceGather := fs.Duration("coalesce-gather", 0, "how long a coalesced solve flight gathers overlapping requests before solving (0 disables the gather window)")
 	logFormat := fs.String("log-format", "text", "log output format: text or json")
 	logLevel := fs.String("log-level", "info", "minimum log level: debug, info, warn or error")
 	dump := fs.String("dump-profile", "", "write model+samples JSON for a testbed profile (vins, jpetstore) and exit")
@@ -190,11 +187,7 @@ func run(args []string, out io.Writer) error {
 			Interval: *selfInterval,
 			P99Bound: *selfP99Bound,
 		},
-		Admission: admission.Config{
-			Mode:            mode,
-			CoalesceWaiters: *coalesceWaiters,
-			CoalesceGather:  *coalesceGather,
-		},
+		Admission: admission.Config{Mode: mode},
 	})
 	if *peers != "" {
 		if *advertise == "" {

@@ -1,8 +1,9 @@
 // Package admission closes the self-model loop: it turns the node's live
 // MVASD-predicted saturation knee (internal/selfmodel) into an admission
-// decision ahead of the worker pool, and merges concurrent solves of the same
-// model whose population ranges overlap into one deep solve (the coalescer,
-// coalesce.go).
+// decision ahead of the worker pool. It is only the gate: concurrent solves
+// of one model wait on the solve cache's entry lock (internal/server), which
+// reports them here so the coalesced counter and waiter gauge stay in one
+// /metrics section.
 //
 // The gate compares the sampled in-flight count against the predicted
 // max-safe concurrency — the saturation knee, optionally tightened by a p99
@@ -80,17 +81,6 @@ type Config struct {
 	// RetryAfterMin/Max clamp the shed response's Retry-After derivation
 	// (defaults 1s and 60s).
 	RetryAfterMin, RetryAfterMax time.Duration
-	// CoalesceWaiters bounds how many concurrent requests may wait on one
-	// coalesced solve flight (default 256; negative disables coalescing).
-	CoalesceWaiters int
-	// CoalesceGather is how long a flight leader waits before solving, so
-	// concurrent overlapping requests can merge their population targets
-	// into one deep run. Off by default (<= 0): a gather window taxes every
-	// cold solve with its full duration, so it is an opt-in for bursty
-	// many-users workloads. Without it, late arrivals still join a running
-	// flight whose target already covers them — the common identical-request
-	// burst coalesces either way.
-	CoalesceGather time.Duration
 }
 
 func (c *Config) defaults() {
@@ -99,9 +89,6 @@ func (c *Config) defaults() {
 	}
 	if c.RetryAfterMax <= 0 {
 		c.RetryAfterMax = 60 * time.Second
-	}
-	if c.CoalesceWaiters == 0 {
-		c.CoalesceWaiters = 256
 	}
 }
 
@@ -142,18 +129,19 @@ func (d Decision) RetryAfterSeconds() int {
 	return s
 }
 
-// Controller is one node's admission gate plus its request coalescer. All
-// methods are safe for concurrent use and valid on a nil receiver (admit
-// everything, coalesce nothing), so callers can leave the hooks unconditional.
+// Controller is one node's admission gate. All methods are safe for
+// concurrent use and valid on a nil receiver (admit everything, count
+// nothing), so callers can leave the hooks unconditional.
 type Controller struct {
 	cfg Config
 	mon *selfmodel.Monitor
-	co  *Coalescer
 
 	admitted     atomic.Uint64
 	overCapacity atomic.Uint64
 	shed         atomic.Uint64
 	redirected   atomic.Uint64
+	coalesced    atomic.Uint64
+	waiters      atomic.Int64
 
 	// jn/prof feed the event journal and anomaly profile store (SetJournal;
 	// nil-safe). Shed events are coalesced into bursts so a storm of refusals
@@ -175,15 +163,10 @@ const burstGap = 5 * time.Second
 
 // New builds a controller deciding by mon's live self-model (nil mon is
 // valid: the gate admits everything until a monitor exists — it never will on
-// a nil monitor — and the coalescer still works).
+// a nil monitor).
 func New(cfg Config, mon *selfmodel.Monitor) *Controller {
 	cfg.defaults()
-	return &Controller{
-		cfg: cfg,
-		mon: mon,
-		co:  newCoalescer(cfg.CoalesceWaiters, cfg.CoalesceGather),
-		now: time.Now,
-	}
+	return &Controller{cfg: cfg, mon: mon, now: time.Now}
 }
 
 // SetJournal wires the controller to the event journal and the anomaly
@@ -330,6 +313,22 @@ func (c *Controller) RecordRedirected() {
 	}
 }
 
+// RecordCoalesced counts one solve answered from another request's run: it
+// waited on a solve-cache entry lock and found the rows published.
+func (c *Controller) RecordCoalesced() {
+	if c != nil {
+		c.coalesced.Add(1)
+	}
+}
+
+// AddWaiters moves the gauge of solves blocked on a solve-cache entry lock
+// by delta: +1 when one starts waiting, -1 when it stops.
+func (c *Controller) AddWaiters(delta int) {
+	if c != nil {
+		c.waiters.Add(int64(delta))
+	}
+}
+
 // Stats is the wire/metrics snapshot of the controller.
 type Stats struct {
 	Mode            Mode
@@ -352,7 +351,7 @@ func (c *Controller) Stats() Stats {
 		OverCapacity:    c.overCapacity.Load(),
 		Shed:            c.shed.Load(),
 		Redirected:      c.redirected.Load(),
-		Coalesced:       c.co.coalesced.Load(),
-		CoalesceWaiters: int(c.co.waiting.Load()),
+		Coalesced:       c.coalesced.Load(),
+		CoalesceWaiters: int(c.waiters.Load()),
 	}
 }

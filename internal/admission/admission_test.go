@@ -204,6 +204,9 @@ func TestNilController(t *testing.T) {
 	}
 	c.RecordShed()
 	c.RecordRedirected()
+	c.RecordCoalesced()
+	c.AddWaiters(1)
+	c.AddWaiters(-1)
 	if st := c.Stats(); st != (Stats{}) {
 		t.Fatalf("nil controller stats: %+v", st)
 	}

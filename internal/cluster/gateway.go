@@ -385,13 +385,7 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	maxN, maxPoints := g.local.Limits()
-	if req.MaxN > maxN {
-		g.local.WriteError(w, http.StatusBadRequest,
-			fmt.Sprintf("max population %d exceeds the server cap %d", req.MaxN, maxN))
-		return
-	}
-	points, err := req.Expand(maxPoints)
+	points, err := g.local.ExpandSweep(&req)
 	if err != nil {
 		g.local.WriteError(w, http.StatusBadRequest, err.Error())
 		return
@@ -462,8 +456,8 @@ func subSweep(req *modelio.SweepRequest, p modelio.GridPoint) *modelio.SweepRequ
 // groupRouteKey computes the key the sub-sweep's server will cache its one
 // group under — the routing key must match the serving key or peer export
 // lookups would miss.
-func groupRouteKey(sub *modelio.SweepRequest, maxPoints int) (string, error) {
-	pts, err := sub.Expand(maxPoints)
+func groupRouteKey(sub *modelio.SweepRequest) (string, error) {
+	pts, err := sub.Expand(1) // a sub-sweep is one grid point
 	if err != nil {
 		return "", err
 	}
@@ -484,8 +478,7 @@ func (g *Gateway) solveGroupRouted(ctx context.Context, req *modelio.SweepReques
 		}
 	}
 	sub := subSweep(req, grp.Point)
-	_, maxPoints := g.local.Limits()
-	key, err := groupRouteKey(sub, maxPoints)
+	key, err := groupRouteKey(sub)
 	if err != nil {
 		fail(err)
 		return

@@ -16,9 +16,12 @@ import (
 	"repro/internal/server"
 )
 
-// wireMaxN is the population cap of every node in the wire tests; it keeps
-// fuzzed solves short.
-const wireMaxN = 1000
+// wireMaxN and wireMaxPoints are the population and sweep-grid caps of
+// every node in the wire tests; they keep fuzzed solves and sweeps short.
+const (
+	wireMaxN      = 1000
+	wireMaxPoints = 64
+)
 
 // wirePaths is a standalone solverd handler beside an in-process 2-node
 // fabric whose servers share its config, so one body can be answered on
@@ -30,26 +33,27 @@ type wirePaths struct {
 
 func newWirePaths(t testing.TB) *wirePaths {
 	t.Helper()
-	tuneSrv := func(_ string, c *server.Config) { c.MaxN = wireMaxN }
+	tuneSrv := func(_ string, c *server.Config) { c.MaxN, c.MaxSweepPoints = wireMaxN, wireMaxPoints }
 	cfg := server.Config{CacheSize: 64, Workers: 4, RequestTimeout: 20 * time.Second,
 		Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}
 	tuneSrv("", &cfg)
 	nodes := startClusterTuned(t, 2, nil, tuneSrv)
 	return &wirePaths{
 		standalone: server.New(cfg).Handler(),
-		entries:    []string{"http://" + nodes[0].addr + "/v1/solve", "http://" + nodes[1].addr + "/v1/solve"},
+		entries:    []string{"http://" + nodes[0].addr, "http://" + nodes[1].addr},
 	}
 }
 
-// check posts body to the standalone handler and to entry (an index into
-// the fabric's nodes) and asserts: no 5xx; the same status on both paths;
-// the same error text on a non-200; and on a 200 a reply that decodes with
-// finite floats and carries the same trajectory.
-func (p *wirePaths) check(t *testing.T, body []byte, entry int) {
+// check posts body to path (/v1/solve, /v1/sweep or /v1/plan) on the
+// standalone handler and on entry (an index into the fabric's nodes) and
+// asserts: no 5xx; the same status on both paths; the same error text on a
+// non-200; and on a 200 a reply that decodes with finite floats and carries
+// the same answer (see wireAnswer).
+func (p *wirePaths) check(t *testing.T, path string, body []byte, entry int) {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	p.standalone.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body)))
-	resp, err := http.Post(p.entries[entry], "application/json", bytes.NewReader(body))
+	p.standalone.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+	resp, err := http.Post(p.entries[entry]+path, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,16 +77,41 @@ func (p *wirePaths) check(t *testing.T, body []byte, entry int) {
 	}
 	// A JSON reply cannot carry NaN or Inf; a float out of range fails to
 	// decode into float64, so decoding both replies checks every value.
-	var a, b modelio.SolveResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &a); err != nil {
+	a, err := wireAnswer(path, rec.Body.Bytes())
+	if err != nil {
 		t.Fatalf("body %q: standalone 200 does not decode: %v", body, err)
 	}
-	if err := json.Unmarshal(reply, &b); err != nil {
+	b, err := wireAnswer(path, reply)
+	if err != nil {
 		t.Fatalf("body %q: gateway 200 does not decode: %v", body, err)
 	}
-	if !reflect.DeepEqual(a.Trajectory, b.Trajectory) {
-		t.Fatalf("body %q: standalone trajectory %+v, gateway %+v", body, a.Trajectory, b.Trajectory)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("body %q: standalone answer %+v, gateway %+v", body, a, b)
 	}
+}
+
+// wireAnswer decodes a 200 reply from path into what both paths must agree
+// on: a solve's trajectory, or a sweep or plan reply without its elapsed
+// time and per-point cache outcomes, which depend on each node's history.
+func wireAnswer(path string, reply []byte) (any, error) {
+	switch path {
+	case "/v1/sweep":
+		var r modelio.SweepResponse
+		err := json.Unmarshal(reply, &r)
+		for i := range r.Points {
+			r.Points[i].Cached = false
+		}
+		r.ElapsedMS = 0
+		return r, err
+	case "/v1/plan":
+		var r modelio.PlanResponse
+		err := json.Unmarshal(reply, &r)
+		r.ElapsedMS = 0
+		return r, err
+	}
+	var r modelio.SolveResponse
+	err := json.Unmarshal(reply, &r)
+	return r.Trajectory, err
 }
 
 // gatewayParityBodies mirror the server's decoding parity table
@@ -121,7 +150,7 @@ func TestGatewaySolveRejectsBadRequests(t *testing.T) {
 	for name, body := range gatewayParityBodies() {
 		t.Run(name, func(t *testing.T) {
 			for entry := range p.entries {
-				p.check(t, []byte(body), entry)
+				p.check(t, "/v1/solve", []byte(body), entry)
 			}
 		})
 	}
@@ -154,6 +183,72 @@ func FuzzSolveRequest(f *testing.F) {
 	entry := 0
 	f.Fuzz(func(t *testing.T, body []byte) {
 		entry ^= 1
-		p.check(t, body, entry)
+		p.check(t, "/v1/solve", body, entry)
+	})
+}
+
+// sweepPlanSeeds are valid and boundary /v1/sweep and /v1/plan bodies.
+func sweepPlanSeeds() (sweeps, plans []string) {
+	model := `{"name":"w","thinkTime":0.5,"stations":[{"name":"web/cpu","kind":"cpu","servers":4,"visits":1,"serviceTime":0.02},{"name":"db/disk","kind":"disk","servers":1,"visits":2,"serviceTime":0.004}]}`
+	samples := `{"stations":[{"name":"web/cpu","at":[1,20,50],"demands":[0.02,0.018,0.017]},{"name":"db/disk","at":[1,20,50],"demands":[0.008,0.008,0.009]}]}`
+	zeroModel := `{"name":"z","thinkTime":0,"stations":[{"name":"a","kind":"cpu","servers":1,"visits":1,"serviceTime":0.01}]}`
+	zeroSamples := `{"stations":[{"name":"a","at":[1,2],"demands":[0,0]}]}`
+	sweeps = []string{
+		`{"model":` + model + `,"populations":[1,10,50]}`,
+		`{"algorithm":"exact","model":` + model + `,"populations":[5,1,30],"thinkTimes":[0,0.5,2],"servers":{"web/cpu":[1,2]}}`,
+		`{"algorithm":"mvasd","model":` + model + `,"samples":` + samples + `,"populations":[20,60],"servers":{"db/disk":[1,3]}}`,
+		`{"algorithm":"schweitzer","decimate":7,"model":` + model + `,"populations":[3,50,1000]}`,
+		`{"algorithm":"mvasd-1s","model":` + zeroModel + `,"samples":` + zeroSamples + `,"populations":[1,4],"thinkTimes":[0,1]}`,
+		`{"model":` + model + `,"populations":[]}`,
+		`{"model":` + model + `,"populations":[0]}`,
+		`{"model":` + model + `,"populations":[1001]}`,
+		`{"model":` + model + `,"populations":[5],"thinkTimes":[-1]}`,
+		`{"model":` + model + `,"populations":[5],"servers":{"nope":[1]}}`,
+		`{"model":` + model + `,"populations":[5],"servers":{"web/cpu":[]}}`,
+		`{"model":` + model + `,"populations":[5],"servers":{"web/cpu":[0]}}`,
+		`{"model":` + model + `,"populations":[5],"thinkTimes":[0,1,2,3,4,5,6,7,8],"servers":{"web/cpu":[1,2,3,4,5,6,7,8]}}`,
+		`{"model":null,"populations":[5]}`,
+		`{"model":` + model + `,"populations":[5],"maxN":3}`,
+	}
+	plans = []string{
+		`{"model":` + model + `,"users":10,"sla":{"maxResponseTime":0.5}}`,
+		`{"model":` + model + `,"users":200,"limit":400,"sla":{"maxCycleTime":1,"minThroughput":5,"maxUtilization":0.9,"stationCaps":{"db/disk":0.7}}}`,
+		`{"model":` + model + `,"samples":` + samples + `,"interp":"linear","users":50,"limit":100,"sla":{"maxResponseTime":0.2}}`,
+		`{"model":` + zeroModel + `,"samples":` + zeroSamples + `,"users":3,"limit":5,"sla":{"maxResponseTime":1,"minThroughput":1}}`,
+		`{"model":` + model + `,"users":0,"sla":{}}`,
+		`{"model":` + model + `,"users":1001,"sla":{}}`,
+		`{"model":` + model + `,"users":5,"limit":-1,"sla":{}}`,
+		`{"model":` + model + `,"users":5,"sla":{"stationCaps":{"nope":0.5}}}`,
+		`{"model":null,"users":5}`,
+		`{"model":` + model + `,"users":5,"sla":{"maxResponseTime":1e400}}`,
+		// Two stations of demand 1e308 each: R overflows to +Inf, which a
+		// response-time violation once carried to the encoder (a 500).
+		`{"model":{"name":"o","thinkTime":1,"stations":[{"name":"a","kind":"cpu","servers":1,"visits":1,"serviceTime":1e308},{"name":"b","kind":"cpu","servers":1,"visits":1,"serviceTime":1e308}]},"users":3,"sla":{"maxResponseTime":1}}`,
+		`{"model":` + zeroModel + `,"samples":{"stations":[{"name":"a","at":[1,2],"demands":[1e308,1e308]}]},"users":3,"limit":3,"sla":{"maxResponseTime":1}}`,
+	}
+	return sweeps, plans
+}
+
+// FuzzSweepPlanRequest posts fuzzed /v1/sweep (plan=false) and /v1/plan
+// (plan=true) bodies to a standalone handler and through a 2-node fabric: no
+// panic, no 5xx, no NaN or Inf in a 200, and the same status, error text and
+// answer on both paths.
+func FuzzSweepPlanRequest(f *testing.F) {
+	sweeps, plans := sweepPlanSeeds()
+	for _, body := range sweeps {
+		f.Add(false, []byte(body))
+	}
+	for _, body := range plans {
+		f.Add(true, []byte(body))
+	}
+	p := newWirePaths(f)
+	entry := 0
+	f.Fuzz(func(t *testing.T, plan bool, body []byte) {
+		entry ^= 1
+		path := "/v1/sweep"
+		if plan {
+			path = "/v1/plan"
+		}
+		p.check(t, path, body, entry)
 	})
 }

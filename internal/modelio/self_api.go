@@ -82,15 +82,15 @@ type SelfResponse struct {
 	// LastFitError is the most recent demand-fit failure ("" once fitted).
 	LastFitError string `json:"lastFitError,omitempty"`
 
-	// Admission is the node's admission-gate and coalescer snapshot
-	// (internal/admission); present whenever the node runs one, including
-	// while the self-model is still warming.
+	// Admission is the node's admission-gate snapshot (internal/admission);
+	// present whenever the node runs one, including while the self-model is
+	// still warming.
 	Admission *SelfAdmission `json:"admission,omitempty"`
 }
 
 // SelfAdmission is one node's admission-control snapshot: what the gate in
-// front of the worker pool decided (admitted/shed/redirected) and what the
-// request coalescer merged.
+// front of the worker pool decided (admitted/shed/redirected) and how many
+// solves the solve cache's entry lock answered from another request's run.
 type SelfAdmission struct {
 	// Mode is the gate's action mode: off, observe or enforce.
 	Mode string `json:"mode"`
@@ -103,8 +103,9 @@ type SelfAdmission struct {
 	// forwarding to a ring peer with predicted headroom.
 	Shed       uint64 `json:"shed"`
 	Redirected uint64 `json:"redirected"`
-	// Coalesced counts requests served off another request's merged solve
-	// flight; CoalesceWaiters is the currently-waiting gauge.
+	// Coalesced counts solves that waited on a solve-cache entry lock and
+	// were answered from another request's run; CoalesceWaiters is the
+	// gauge of solves blocked on an entry lock now.
 	Coalesced       uint64 `json:"coalesced"`
 	CoalesceWaiters int    `json:"coalesceWaiters"`
 }

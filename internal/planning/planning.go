@@ -88,7 +88,25 @@ func (p *Plan) CheckContext(ctx context.Context, n int, sla SLA) ([]Violation, e
 	if err != nil {
 		return nil, err
 	}
+	if err := finiteAt(res, n); err != nil {
+		return nil, err
+	}
 	return checkAt(res, p.Model, n, sla), nil
+}
+
+// finiteAt returns queueing.ErrNotFinite when population n's solved row holds
+// a NaN or ±Inf (say, demands that overflow): no SLA can be judged on it.
+func finiteAt(res *core.Result, n int) error {
+	x, r, cycle, err := res.At(n)
+	if err != nil {
+		return nil // checkAt reports populations out of the solved range
+	}
+	for _, v := range append([]float64{x, r, cycle}, res.Util[n-1]...) {
+		if v-v != 0 {
+			return queueing.ErrNotFinite
+		}
+	}
+	return nil
 }
 
 func checkAt(res *core.Result, m *queueing.Model, n int, sla SLA) []Violation {
@@ -140,6 +158,9 @@ func (p *Plan) MaxUsersUnderSLAContext(ctx context.Context, limit int, sla SLA) 
 		return 0, err
 	}
 	for n := 1; n <= limit; n++ {
+		if err := finiteAt(res, n); err != nil {
+			return 0, err
+		}
 		if len(checkAt(res, p.Model, n, sla)) > 0 {
 			return n - 1, nil
 		}

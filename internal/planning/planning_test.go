@@ -1,6 +1,7 @@
 package planning
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -214,5 +215,23 @@ func TestNilModel(t *testing.T) {
 	p := &Plan{}
 	if _, err := p.Check(1, SLA{}); err == nil {
 		t.Error("nil model should error")
+	}
+}
+
+// TestNonFiniteRowsRefused: demands that overflow make R = +Inf, on which no
+// SLA can be judged; Check and MaxUsersUnderSLA refuse it rather than report
+// a violation carrying +Inf.
+func TestNonFiniteRowsRefused(t *testing.T) {
+	m := simpleModel()
+	for i := range m.Stations {
+		m.Stations[i].ServiceTime = 1e308
+	}
+	p := &Plan{Model: m}
+	sla := SLA{MaxResponseTime: 1}
+	if _, err := p.Check(3, sla); !errors.Is(err, queueing.ErrNotFinite) {
+		t.Errorf("Check: err = %v, want %v", err, queueing.ErrNotFinite)
+	}
+	if _, err := p.MaxUsersUnderSLA(3, sla); !errors.Is(err, queueing.ErrNotFinite) {
+		t.Errorf("MaxUsersUnderSLA: err = %v, want %v", err, queueing.ErrNotFinite)
 	}
 }

@@ -203,38 +203,50 @@ func TestObserveModeByteIdentical(t *testing.T) {
 	}
 }
 
-// TestCoalescedSolvesShareOneRun posts N concurrent solves of one model with
-// overlapping population ranges through a gather window: exactly one backend
-// solver run happens, every response's rows are bit-identical to a solo solve
-// of its own population, and a client cancelling mid-flight disturbs nobody.
+// TestCoalescedSolvesShareOneRun holds one solve of a model in flight while
+// more requests for it, at populations up to the leader's, block on the
+// cache entry's lock: exactly one backend run happens, every waiter is
+// answered from it with rows bit-identical to a solo solve of its own
+// population, and a client hanging up mid-wait disturbs nobody.
 func TestCoalescedSolvesShareOneRun(t *testing.T) {
-	s, ts := newTestServer(t, Config{
-		Admission: admission.Config{CoalesceGather: 600 * time.Millisecond},
-	})
+	s, ts := newTestServer(t, Config{})
+	started, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	s.testHookSolveStart = func(context.Context) {
+		once.Do(func() { close(started) })
+		<-release
+	}
 
 	type result struct {
 		status int
 		out    modelio.SolveResponse
 	}
-	populations := []int{8, 40, 24, 16}
+	const leaderN = 40
+	populations := []int{leaderN, 8, 40, 24, 16} // [0] leads, the rest wait
 	results := make([]result, len(populations))
 	var wg sync.WaitGroup
-	for i, n := range populations {
+	post := func(i int) {
 		wg.Add(1)
-		go func(i, n int) {
+		go func() {
 			defer wg.Done()
 			resp, body := postJSON(t, ts.URL+"/v1/solve", modelio.SolveRequest{
-				Algorithm: modelio.AlgoExact, Model: testModel(), MaxN: n,
+				Algorithm: modelio.AlgoExact, Model: testModel(), MaxN: populations[i],
 			})
 			results[i].status = resp.StatusCode
 			if err := json.Unmarshal(body, &results[i].out); err != nil {
 				t.Errorf("request %d: %v: %s", i, err, body)
 			}
-		}(i, n)
+		}()
 	}
+	post(0)
+	<-started
+	for i := 1; i < len(populations); i++ {
+		post(i)
+	}
+	waiters := len(populations) - 1
+	waitCond(t, func() bool { return s.Admission().Stats().CoalesceWaiters == waiters })
 
-	// While the flight gathers, a fifth client joins and then hangs up.
-	waitCond(t, func() bool { return s.Admission().Stats().CoalesceWaiters >= len(populations)-1 })
+	// One more client blocks on the entry lock, then hangs up.
 	ctx, cancel := context.WithCancel(context.Background())
 	b, _ := json.Marshal(modelio.SolveRequest{Algorithm: modelio.AlgoExact, Model: testModel(), MaxN: 32})
 	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/solve", bytes.NewReader(b))
@@ -244,21 +256,22 @@ func TestCoalescedSolvesShareOneRun(t *testing.T) {
 		_, err := http.DefaultClient.Do(req)
 		errc <- err
 	}()
-	waitCond(t, func() bool { return s.Admission().Stats().CoalesceWaiters >= len(populations) })
+	waitCond(t, func() bool { return s.Admission().Stats().CoalesceWaiters == waiters+1 })
 	cancel()
 	if err := <-errc; err == nil {
 		t.Fatal("cancelled client got a response")
 	}
+	waitCond(t, func() bool { return s.Admission().Stats().CoalesceWaiters == waiters })
+	close(release)
 	wg.Wait()
 
 	if runs := s.metrics.solveRuns.Load(); runs != 1 {
-		t.Fatalf("backend solver runs: %d, want exactly 1 for %d overlapping requests", runs, len(populations)+1)
+		t.Fatalf("backend solver runs: %d, want exactly 1 for %d requests", runs, len(populations)+1)
 	}
-	want, err := core.ExactMVA(testModel(), 40)
+	want, err := core.ExactMVA(testModel(), leaderN)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cachedCount := 0
 	for i, r := range results {
 		if r.status != http.StatusOK {
 			t.Fatalf("request %d: status %d", i, r.status)
@@ -273,18 +286,23 @@ func TestCoalescedSolvesShareOneRun(t *testing.T) {
 					i, j, tr.X[j], tr.R[j], want.X[j], want.R[j])
 			}
 		}
-		if r.out.Cached {
-			cachedCount++
+		if r.out.Cached != (i > 0) {
+			t.Fatalf("request %d: cached=%v", i, r.out.Cached)
 		}
 	}
-	if cachedCount != len(populations)-1 {
-		t.Fatalf("coalesced-as-cached responses: %d, want %d waiters", cachedCount, len(populations)-1)
+	if st := s.Admission().Stats(); st.Coalesced != uint64(waiters) || st.CoalesceWaiters != 0 {
+		t.Fatalf("coalesced counter / waiter gauge: %+v", st)
 	}
-	if st := s.Admission().Stats(); st.Coalesced != uint64(len(populations)-1) {
-		t.Fatalf("coalesced counter: %+v", st)
+	if _, metrics := getBody(t, ts.URL+"/metrics"); !strings.Contains(metrics, "solverd_admission_coalesced_total "+strconv.Itoa(waiters)+"\n") {
+		t.Errorf("metrics missing solverd_admission_coalesced_total %d", waiters)
 	}
-	if _, metrics := getBody(t, ts.URL+"/metrics"); !strings.Contains(metrics, "solverd_admission_coalesced_total 3") {
-		t.Error("metrics missing solverd_admission_coalesced_total 3")
+	_, body := getBody(t, ts.URL+"/v1/self")
+	var self modelio.SelfResponse
+	if err := json.Unmarshal([]byte(body), &self); err != nil {
+		t.Fatal(err)
+	}
+	if self.Admission == nil || self.Admission.Coalesced != uint64(waiters) {
+		t.Fatalf("/v1/self admission: %s", body)
 	}
 }
 

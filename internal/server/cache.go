@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/journal"
 	"repro/internal/modelio"
@@ -19,8 +20,9 @@ import (
 //
 //   - maxN ≤ cached N: served lock-free from the published prefix snapshot,
 //   - maxN > cached N: the solver is extended in place under the entry's
-//     lock (which doubles as singleflight: concurrent identical requests
-//     queue behind one extension and then hit the refreshed snapshot).
+//     lock (which doubles as singleflight: concurrent requests queue behind
+//     one extension and are then served coalesced off the refreshed
+//     snapshot when it covers them).
 //
 // Snapshots are immutable core.Result prefix views; extension only writes
 // rows beyond every published snapshot and capacity growth reallocates, so
@@ -29,6 +31,9 @@ type solveCache struct {
 	// jn journals evictions under LRU pressure (nil-safe; set by server.New
 	// before traffic, appended to under mu — Append takes only a leaf lock).
 	jn *journal.Journal
+	// adm counts requests blocked on an entry lock (nil-safe; set by
+	// server.New before traffic).
+	adm *admission.Controller
 
 	mu    sync.Mutex
 	max   int                    // entry cap; <= 0 disables storage (dedup still applies)
@@ -107,11 +112,12 @@ func (c *solveCache) entries() []cacheEntrySnapshot {
 	return out
 }
 
-// lookup returns the entry for key, creating it if needed. Created entries
-// enter the LRU immediately (evicting past the cap) so concurrent requests
-// converge on one entry; an entry that never produces a trajectory is
-// removed again by finish.
-func (c *solveCache) lookup(key string) *cacheEntry {
+// lookup returns the entry for key and marks it most recently used. A
+// missing entry is created when create is set, else lookup returns nil.
+// Created entries enter the LRU immediately (evicting past the cap) so
+// concurrent requests converge on one entry; an entry that never produces a
+// trajectory is removed again by finish.
+func (c *solveCache) lookup(key string, create bool) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.items[key]; ok {
@@ -120,6 +126,9 @@ func (c *solveCache) lookup(key string) *cacheEntry {
 		}
 		e.lastAccess = time.Now()
 		return e
+	}
+	if !create {
+		return nil
 	}
 	e := &cacheEntry{key: key, lock: make(chan struct{}, 1), lastAccess: time.Now()}
 	c.items[key] = e
@@ -203,29 +212,51 @@ func (c *solveCache) drop(e *cacheEntry) {
 	}
 }
 
+// cacheOutcome is how solveCache.do answered a request: lock-free from the
+// published snapshot (hit), from another request's run after waiting on the
+// entry lock (coalesced), by resuming the entry's solver (extend), or by
+// building it and solving cold or from a peer fill's checkpoint (miss).
+type cacheOutcome uint8
+
+const (
+	cacheHit cacheOutcome = iota
+	cacheCoalesced
+	cacheExtend
+	cacheMiss
+)
+
+// cacheOutcomeAttr is each outcome's trace "cache" attribute value, boxed
+// once so that setting it allocates nothing on the hit path.
+var cacheOutcomeAttr = [...]any{"hit", "coalesced", "extend", "miss"}
+
+func (o cacheOutcome) String() string { return cacheOutcomeAttr[o].(string) }
+
+// cached reports the request was answered without running the solver.
+func (o cacheOutcome) cached() bool { return o <= cacheCoalesced }
+
 // do answers a solve for key at population maxN. build constructs the
 // entry's resumable solver on first use; run executes/extends it to maxN
-// (acquiring the worker pool and threading ctx). hit reports that the
-// request was answered without running the solver — from the published
-// prefix or from a concurrent caller's completed run.
+// (acquiring the worker pool and threading ctx). The entry lock is the one
+// place a request waits for another: a waiter rechecks the published
+// snapshot before it solves, so concurrent requests at or below a running
+// target share that run. A lock-free hit also returns the entry (nil
+// otherwise), whose row text memo can serve the reply.
 func (c *solveCache) do(ctx context.Context, key string, maxN int,
 	build func() (*core.Solver, error),
 	run func(ctx context.Context, s *core.Solver, maxN int) error,
-) (res *core.Result, hit bool, err error) {
+) (*core.Result, *cacheEntry, cacheOutcome, error) {
 	for {
-		e := c.lookup(key)
+		e := c.lookup(key, true)
 		// Lock-free fast path: the published snapshot already covers maxN.
 		// SolvedN (not Len) is the coverage test: a decimated entry's
 		// recursion advances through every population while storing only
 		// every stride-th row, and PrefixPop serves any geometry.
 		if t := e.traj.Load(); t != nil && t.SolvedN() >= maxN {
 			res, err := t.PrefixPop(maxN)
-			return res, true, err
+			return res, e, cacheHit, err
 		}
-		select {
-		case e.lock <- struct{}{}:
-		case <-ctx.Done():
-			return nil, false, context.Cause(ctx)
+		if !c.acquire(ctx, e) {
+			return nil, nil, cacheMiss, context.Cause(ctx)
 		}
 		if e.evicted.Load() {
 			// Evicted while we waited; retry on a fresh entry.
@@ -233,19 +264,23 @@ func (c *solveCache) do(ctx context.Context, key string, maxN int,
 			continue
 		}
 		// Recheck under the lock: a concurrent leader may have extended far
-		// enough while we waited — that shared run counts as a hit.
+		// enough while we waited.
 		if t := e.traj.Load(); t != nil && t.SolvedN() >= maxN {
 			c.unlockEntry(e)
 			res, err := t.PrefixPop(maxN)
-			return res, true, err
+			return res, nil, cacheCoalesced, err
 		}
+		outcome := cacheMiss
 		if e.solver == nil {
 			s, err := build()
 			if err != nil {
 				c.finish(e, false)
-				return nil, false, err
+				return nil, nil, outcome, err
 			}
 			e.solver = s
+		}
+		if e.solver.N() > 0 {
+			outcome = cacheExtend
 		}
 		runErr := run(ctx, e.solver, maxN)
 		// Publish whatever progress was made — a partial trajectory still
@@ -262,37 +297,29 @@ func (c *solveCache) do(ctx context.Context, key string, maxN int,
 		}
 		c.finish(e, progressed)
 		if runErr != nil {
-			return nil, false, runErr
+			return nil, nil, outcome, runErr
 		}
 		res, err := e.traj.Load().PrefixPop(maxN)
-		return res, false, err
+		return res, nil, outcome, err
 	}
 }
 
-// peek answers maxN from key's published snapshot without taking the entry
-// lock: the fast path solveWithKey consults before the coalescer, so plain
-// prefix hits never join a flight. A hit also returns the entry, whose row
-// text memo can serve the reply. Misses (unknown key, insufficient
-// coverage) report ok=false and the caller proceeds to do.
-func (c *solveCache) peek(key string, maxN int) (*core.Result, *cacheEntry, bool) {
-	c.mu.Lock()
-	e, ok := c.items[key]
-	if ok {
-		if e.el != nil {
-			c.ll.MoveToFront(e.el)
-		}
-		e.lastAccess = time.Now()
+// acquire takes e's lock, giving up when ctx ends. A caller that finds the
+// lock held is counted on the admission waiter gauge while it waits.
+func (c *solveCache) acquire(ctx context.Context, e *cacheEntry) bool {
+	select {
+	case e.lock <- struct{}{}:
+		return true
+	default:
 	}
-	c.mu.Unlock()
-	if !ok {
-		return nil, nil, false
+	c.adm.AddWaiters(1)
+	defer c.adm.AddWaiters(-1)
+	select {
+	case e.lock <- struct{}{}:
+		return true
+	case <-ctx.Done():
+		return false
 	}
-	if t := e.traj.Load(); t != nil && t.SolvedN() >= maxN {
-		if res, err := t.PrefixPop(maxN); err == nil {
-			return res, e, true
-		}
-	}
-	return nil, nil, false
 }
 
 // rowText returns e's row text memo when it covers n rows, or nil. A memo
@@ -325,16 +352,8 @@ func (e *cacheEntry) rowText(n int) *modelio.RowText {
 // extension is never interrupted, the export just gives up. ok=false when the
 // key is unknown, still cold, evicted, or busy past the deadline.
 func (c *solveCache) export(ctx context.Context, key string) (*core.Result, *core.Checkpoint, bool) {
-	c.mu.Lock()
-	e, ok := c.items[key]
-	if ok {
-		if e.el != nil {
-			c.ll.MoveToFront(e.el)
-		}
-		e.lastAccess = time.Now()
-	}
-	c.mu.Unlock()
-	if !ok {
+	e := c.lookup(key, false)
+	if e == nil {
 		return nil, nil, false
 	}
 	select {

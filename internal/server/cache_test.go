@@ -6,7 +6,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/admission"
 	"repro/internal/core"
 )
 
@@ -26,42 +28,42 @@ func runSolver(ctx context.Context, s *core.Solver, maxN int) error {
 	return s.RunContext(ctx, maxN)
 }
 
-func mustDo(t *testing.T, c *solveCache, key string, maxN int) (*core.Result, bool) {
+func mustDo(t *testing.T, c *solveCache, key string, maxN int) (*core.Result, cacheOutcome) {
 	t.Helper()
-	res, hit, err := c.do(context.Background(), key, maxN, exactBuilder(nil), runSolver)
+	res, _, out, err := c.do(context.Background(), key, maxN, exactBuilder(nil), runSolver)
 	if err != nil {
 		t.Fatalf("do(%q, %d): %v", key, maxN, err)
 	}
-	return res, hit
+	return res, out
 }
 
 func TestCacheLRUEviction(t *testing.T) {
 	c := newSolveCache(2)
 	for _, k := range []string{"a", "b"} {
-		if _, hit := mustDo(t, c, k, 5); hit {
-			t.Fatalf("priming %q was a hit", k)
+		if _, out := mustDo(t, c, k, 5); out != cacheMiss {
+			t.Fatalf("priming %q: %v", k, out)
 		}
 	}
 	// Touch "a" so "b" is the LRU victim.
-	if _, hit := mustDo(t, c, "a", 5); !hit {
-		t.Fatal("expected hit for a")
+	if _, out := mustDo(t, c, "a", 5); out != cacheHit {
+		t.Fatalf("a: %v, want hit", out)
 	}
-	if _, hit := mustDo(t, c, "c", 5); hit {
-		t.Fatal("inserting c was a hit")
+	if _, out := mustDo(t, c, "c", 5); out != cacheMiss {
+		t.Fatalf("inserting c: %v", out)
 	}
 	if c.len() != 2 {
 		t.Fatalf("cache len = %d, want 2", c.len())
 	}
-	if _, hit := mustDo(t, c, "a", 5); !hit {
+	if _, out := mustDo(t, c, "a", 5); out != cacheHit {
 		t.Error("a was evicted despite being recently used")
 	}
 	var rebuilds atomic.Int64
-	_, hit, err := c.do(context.Background(), "b", 5, exactBuilder(&rebuilds), runSolver)
+	_, _, out, err := c.do(context.Background(), "b", 5, exactBuilder(&rebuilds), runSolver)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit || rebuilds.Load() != 1 {
-		t.Errorf("b was not evicted as the LRU entry: hit=%v rebuilds=%d", hit, rebuilds.Load())
+	if out != cacheMiss || rebuilds.Load() != 1 {
+		t.Errorf("b was not evicted as the LRU entry: %v, rebuilds=%d", out, rebuilds.Load())
 	}
 }
 
@@ -76,7 +78,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			_, hit, err := c.do(context.Background(), "k", 20, exactBuilder(&calls),
+			_, _, out, err := c.do(context.Background(), "k", 20, exactBuilder(&calls),
 				func(ctx context.Context, s *core.Solver, maxN int) error {
 					<-gate // hold every concurrent caller in the dedup path
 					return s.RunContext(ctx, maxN)
@@ -84,7 +86,7 @@ func TestCacheSingleflight(t *testing.T) {
 			if err != nil {
 				t.Error(err)
 			}
-			hits[g] = hit
+			hits[g] = out.cached()
 		}(g)
 	}
 	close(gate)
@@ -106,7 +108,7 @@ func TestCacheSingleflight(t *testing.T) {
 func TestCacheErrorsNotCached(t *testing.T) {
 	c := newSolveCache(8)
 	boom := errors.New("boom")
-	_, _, err := c.do(context.Background(), "k", 10, exactBuilder(nil),
+	_, _, _, err := c.do(context.Background(), "k", 10, exactBuilder(nil),
 		func(context.Context, *core.Solver, int) error { return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
@@ -114,8 +116,8 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	if c.len() != 0 {
 		t.Fatal("error result was cached")
 	}
-	if _, hit := mustDo(t, c, "k", 10); hit {
-		t.Fatal("retry after error was a hit")
+	if _, out := mustDo(t, c, "k", 10); out != cacheMiss {
+		t.Fatalf("retry after error: %v", out)
 	}
 }
 
@@ -124,7 +126,7 @@ func TestCacheErrorsNotCached(t *testing.T) {
 func TestCacheBuildErrorsNotCached(t *testing.T) {
 	c := newSolveCache(8)
 	boom := errors.New("bad model")
-	_, _, err := c.do(context.Background(), "k", 10,
+	_, _, _, err := c.do(context.Background(), "k", 10,
 		func() (*core.Solver, error) { return nil, boom }, runSolver)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
@@ -132,8 +134,8 @@ func TestCacheBuildErrorsNotCached(t *testing.T) {
 	if c.len() != 0 {
 		t.Fatal("build error was cached")
 	}
-	if _, hit := mustDo(t, c, "k", 10); hit {
-		t.Fatal("retry after build error was a hit")
+	if _, out := mustDo(t, c, "k", 10); out != cacheMiss {
+		t.Fatalf("retry after build error: %v", out)
 	}
 }
 
@@ -148,7 +150,7 @@ func TestCacheFollowerSurvivesLeaderCancellation(t *testing.T) {
 	wg.Add(1)
 	go func() { // leader: fails with its own cancellation before any progress
 		defer wg.Done()
-		_, _, err := c.do(leaderCtx, "k", 10, exactBuilder(nil),
+		_, _, _, err := c.do(leaderCtx, "k", 10, exactBuilder(nil),
 			func(ctx context.Context, s *core.Solver, maxN int) error {
 				close(leaderIn)
 				<-ctx.Done()
@@ -163,7 +165,7 @@ func TestCacheFollowerSurvivesLeaderCancellation(t *testing.T) {
 	wg.Add(1)
 	go func() { // follower: joins the flight, then recovers from the failure
 		defer wg.Done()
-		res, _, err := c.do(context.Background(), "k", 10, exactBuilder(nil), runSolver)
+		res, _, _, err := c.do(context.Background(), "k", 10, exactBuilder(nil), runSolver)
 		if err != nil || res.Len() != 10 {
 			t.Errorf("follower: res=%+v err=%v", res, err)
 		}
@@ -173,16 +175,64 @@ func TestCacheFollowerSurvivesLeaderCancellation(t *testing.T) {
 	wg.Wait()
 }
 
+// TestCacheWaiterCancellation: a request blocked on a busy entry lock whose
+// context is cancelled returns its cause at once, without disturbing the run
+// it waited on, and leaves the waiter gauge at zero.
+func TestCacheWaiterCancellation(t *testing.T) {
+	c := newSolveCache(8)
+	c.adm = admission.New(admission.Config{}, nil)
+	leaderIn, release := make(chan struct{}), make(chan struct{})
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, _, _, err := c.do(context.Background(), "k", 30, exactBuilder(nil),
+			func(ctx context.Context, s *core.Solver, maxN int) error {
+				close(leaderIn)
+				<-release
+				return s.RunContext(ctx, maxN)
+			})
+		leaderDone <- err
+	}()
+	<-leaderIn
+
+	ctx, cancel := context.WithCancel(context.Background())
+	waiterDone := make(chan error, 1)
+	go func() {
+		_, _, _, err := c.do(ctx, "k", 20, exactBuilder(nil), runSolver)
+		waiterDone <- err
+	}()
+	waitCond(t, func() bool { return c.adm.Stats().CoalesceWaiters == 1 })
+	cancel()
+	select {
+	case err := <-waiterDone:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("waiter err = %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled waiter still blocked on the entry lock")
+	}
+	if n := c.adm.Stats().CoalesceWaiters; n != 0 {
+		t.Fatalf("waiter gauge = %d after the waiter left", n)
+	}
+
+	close(release)
+	if err := <-leaderDone; err != nil {
+		t.Fatalf("leader err = %v", err)
+	}
+	if res, out := mustDo(t, c, "k", 30); out != cacheHit || res.Len() != 30 {
+		t.Fatalf("leader's run not published: %v len=%d", out, res.Len())
+	}
+}
+
 func TestCacheDisabledStillDeduplicates(t *testing.T) {
 	c := newSolveCache(-1)
 	var builds atomic.Int64
 	for i := 0; i < 2; i++ {
-		_, hit, err := c.do(context.Background(), "k", 10, exactBuilder(&builds), runSolver)
+		_, _, out, err := c.do(context.Background(), "k", 10, exactBuilder(&builds), runSolver)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hit {
-			t.Error("disabled cache produced a hit")
+		if out != cacheMiss {
+			t.Errorf("disabled cache: %v, want miss", out)
 		}
 	}
 	if builds.Load() != 2 {
@@ -198,11 +248,11 @@ func TestCacheDisabledStillDeduplicates(t *testing.T) {
 // never runs again.
 func TestCachePrefixHitBelowCachedN(t *testing.T) {
 	c := newSolveCache(8)
-	if _, hit := mustDo(t, c, "k", 40); hit {
-		t.Fatal("cold solve was a hit")
+	if _, out := mustDo(t, c, "k", 40); out != cacheMiss {
+		t.Fatalf("cold solve: %v", out)
 	}
 	var reruns atomic.Int64
-	res, hit, err := c.do(context.Background(), "k", 25, exactBuilder(nil),
+	res, e, out, err := c.do(context.Background(), "k", 25, exactBuilder(nil),
 		func(ctx context.Context, s *core.Solver, maxN int) error {
 			reruns.Add(1)
 			return s.RunContext(ctx, maxN)
@@ -210,8 +260,8 @@ func TestCachePrefixHitBelowCachedN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hit || reruns.Load() != 0 {
-		t.Fatalf("maxN below cached N: hit=%v reruns=%d", hit, reruns.Load())
+	if out != cacheHit || e == nil || reruns.Load() != 0 {
+		t.Fatalf("maxN below cached N: %v entry=%v reruns=%d", out, e != nil, reruns.Load())
 	}
 	if res.Len() != 25 {
 		t.Fatalf("prefix length = %d, want 25", res.Len())
@@ -234,11 +284,11 @@ func TestCachePrefixHitBelowCachedN(t *testing.T) {
 // in place instead of re-solving from population 1.
 func TestCacheExtendAboveCachedN(t *testing.T) {
 	c := newSolveCache(8)
-	if _, hit := mustDo(t, c, "k", 20); hit {
-		t.Fatal("cold solve was a hit")
+	if _, out := mustDo(t, c, "k", 20); out != cacheMiss {
+		t.Fatalf("cold solve: %v", out)
 	}
 	var resumedFrom atomic.Int64
-	res, hit, err := c.do(context.Background(), "k", 50, exactBuilder(nil),
+	res, _, out, err := c.do(context.Background(), "k", 50, exactBuilder(nil),
 		func(ctx context.Context, s *core.Solver, maxN int) error {
 			resumedFrom.Store(int64(s.N()))
 			return s.RunContext(ctx, maxN)
@@ -246,8 +296,8 @@ func TestCacheExtendAboveCachedN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hit {
-		t.Error("extension counted as a hit")
+	if out != cacheExtend {
+		t.Errorf("extension: %v", out)
 	}
 	if got := resumedFrom.Load(); got != 20 {
 		t.Errorf("extension resumed from N=%d, want 20", got)
@@ -275,7 +325,7 @@ func TestCacheExtendAboveCachedN(t *testing.T) {
 func TestCachePartialProgressResumes(t *testing.T) {
 	c := newSolveCache(8)
 	boom := errors.New("boom")
-	_, _, err := c.do(context.Background(), "k", 30, exactBuilder(nil),
+	_, _, _, err := c.do(context.Background(), "k", 30, exactBuilder(nil),
 		func(ctx context.Context, s *core.Solver, maxN int) error {
 			if err := s.RunContext(ctx, 12); err != nil { // partial progress, then failure
 				return err
@@ -288,11 +338,11 @@ func TestCachePartialProgressResumes(t *testing.T) {
 	if c.len() != 1 {
 		t.Fatalf("partial progress dropped: len = %d", c.len())
 	}
-	if res, hit := mustDo(t, c, "k", 12); !hit || res.Len() != 12 {
-		t.Errorf("partial trajectory not served: hit=%v len=%d", hit, res.Len())
+	if res, out := mustDo(t, c, "k", 12); out != cacheHit || res.Len() != 12 {
+		t.Errorf("partial trajectory not served: %v len=%d", out, res.Len())
 	}
 	var resumedFrom atomic.Int64
-	res, _, err := c.do(context.Background(), "k", 30, exactBuilder(nil),
+	res, _, out, err := c.do(context.Background(), "k", 30, exactBuilder(nil),
 		func(ctx context.Context, s *core.Solver, maxN int) error {
 			resumedFrom.Store(int64(s.N()))
 			return s.RunContext(ctx, maxN)
@@ -300,8 +350,8 @@ func TestCachePartialProgressResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resumedFrom.Load() != 12 || res.Len() != 30 {
-		t.Errorf("retry: resumed from %d (want 12), len %d (want 30)", resumedFrom.Load(), res.Len())
+	if resumedFrom.Load() != 12 || res.Len() != 30 || out != cacheExtend {
+		t.Errorf("retry: %v resumed from %d (want extend from 12), len %d (want 30)", out, resumedFrom.Load(), res.Len())
 	}
 }
 
@@ -317,7 +367,7 @@ func TestCacheConcurrentExtends(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			maxN := 5 + 7*g // mixed targets: prefix hits and extensions interleave
-			res, _, err := c.do(context.Background(), "k", maxN, exactBuilder(nil), runSolver)
+			res, _, _, err := c.do(context.Background(), "k", maxN, exactBuilder(nil), runSolver)
 			if err != nil {
 				t.Error(err)
 				return
@@ -329,9 +379,9 @@ func TestCacheConcurrentExtends(t *testing.T) {
 	}
 	wg.Wait()
 	maxN := 5 + 7*(goroutines-1)
-	res, hit := mustDo(t, c, "k", maxN)
-	if !hit {
-		t.Error("final full-length request missed")
+	res, out := mustDo(t, c, "k", maxN)
+	if out != cacheHit {
+		t.Errorf("final full-length request: %v", out)
 	}
 	cold, err := core.ExactMVA(testModel(), maxN)
 	if err != nil {

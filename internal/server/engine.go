@@ -55,10 +55,19 @@ func (s *Server) peerFiller() PeerFiller {
 	return nil
 }
 
-// Limits reports the configured request caps — the cluster gateway mirrors
-// them when it expands sweeps before routing.
-func (s *Server) Limits() (maxN, maxSweepPoints int) {
-	return s.cfg.MaxN, s.cfg.MaxSweepPoints
+// ExpandSweep checks a normalized sweep against the server's caps (MaxN,
+// MaxSweepPoints) and expands its grid. Sweep and the cluster gateway's
+// coordinator both call it, so a refused sweep gets the same error text on
+// every path.
+func (s *Server) ExpandSweep(req *modelio.SweepRequest) ([]modelio.GridPoint, error) {
+	if err := s.checkMaxN(req.MaxN, req.Decimate); err != nil {
+		return nil, err
+	}
+	points, err := req.Expand(s.cfg.MaxSweepPoints)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s", ErrLimit, err)
+	}
+	return points, nil
 }
 
 // Workers reports the configured solve concurrency — the cluster gateway
@@ -199,13 +208,10 @@ func (s *Server) SolveChunk(ctx context.Context, req *modelio.SolveRequest, from
 // sweep's largest population, and every member's rows fan out from the
 // shared trajectory. A request-wide deadline trumps partial results.
 func (s *Server) Sweep(ctx context.Context, req *modelio.SweepRequest) (*modelio.SweepResponse, error) {
-	if err := s.checkMaxN(req.MaxN, req.Decimate); err != nil {
-		return nil, err
-	}
 	start := time.Now()
-	points, err := req.Expand(s.cfg.MaxSweepPoints)
+	points, err := s.ExpandSweep(req)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s", ErrLimit, err)
+		return nil, err
 	}
 	// Hash the shared key material (algorithm, interp, samples, base model)
 	// once; per-group keys mix in only the point's resolved signature.

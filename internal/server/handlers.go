@@ -142,65 +142,19 @@ func recoverFactory(req *modelio.SolveRequest) func() (*core.Solver, error) {
 // derive per-group keys from a shared base instead of re-hashing the
 // model), keeping the cache hit/miss counters and in-flight gauge. A
 // lock-free prefix hit also returns the cache entry that answered it (nil
-// otherwise). The worker pool is acquired only inside the miss path, so
-// requests answered from a cached prefix never queue behind in-flight
-// solves.
+// otherwise). The worker pool is acquired only inside the run, so requests
+// answered from a cached prefix never queue behind in-flight solves.
 //
 // The request's trace (when present) gets a "cache" span covering the lookup
-// and any wait for the worker pool or a concurrent leader, a "solve" span
+// and any wait for the entry lock or the worker pool, a "solve" span
 // covering the solver run, and a "cache" attribute with the outcome
-// (hit/extend/miss). The solver is instrumented for the run's duration with
-// hooks feeding the step counter, the in-flight progress registry and — for
-// MVASD algorithms — the fixed-point iteration histogram.
-// Ahead of the cache sits the request coalescer (internal/admission):
-// concurrent solves of the same key with overlapping population ranges merge
-// into one flight whose leader solves to the largest requested population,
-// and every waiter streams its own prefix off the shared trajectory —
-// bit-identical to a solo solve, counted as a "coalesced" cache hit.
-func (s *Server) solveWithKey(ctx context.Context, key string, req *modelio.SolveRequest) (res *core.Result, e *cacheEntry, hit bool, err error) {
+// (hit/coalesced/extend/miss). The solver is instrumented for the run's
+// duration with hooks feeding the step counter, the in-flight progress
+// registry and — for MVASD algorithms — the fixed-point iteration histogram.
+func (s *Server) solveWithKey(ctx context.Context, key string, req *modelio.SolveRequest) (*core.Result, *cacheEntry, bool, error) {
 	tr := telemetry.FromContext(ctx)
 	cacheSpan := tr.StartSpan("cache")
-	// Lock-free fast path: a published snapshot covering maxN answers
-	// without joining a coalescer flight.
-	if snap, e, ok := s.cache.peek(key, req.MaxN); ok {
-		cacheSpan.End()
-		s.metrics.cacheHits.Add(1)
-		tr.SetAttr("cache", "hit")
-		return snap, e, true, nil
-	}
-	res, waited, err := s.admission.Coalesce(ctx, key, req.MaxN,
-		func(ctx context.Context, target int) (*core.Result, error) {
-			r, leaderHit, rerr := s.runCached(ctx, cacheSpan, key, req, target)
-			hit = leaderHit
-			return r, rerr
-		})
-	cacheSpan.End() // idempotent: covers a coalesced waiter's whole wait
-	if err != nil {
-		return nil, nil, false, err
-	}
-	if waited {
-		// Served off another request's flight without running the solver —
-		// a hit for this caller, and the coalesced counter's unit.
-		s.metrics.cacheHits.Add(1)
-		tr.SetAttr("cache", "coalesced")
-		return res, nil, true, nil
-	}
-	if hit {
-		s.metrics.cacheHits.Add(1)
-		tr.SetAttr("cache", "hit")
-	} else {
-		s.metrics.cacheMisses.Add(1)
-	}
-	return res, nil, hit, err
-}
-
-// runCached is one pass through the cache's entry lock: build the entry's
-// resumable solver on first use (with cluster peer fill), then run/extend it
-// to target under the worker pool. hit reports the request was answered
-// without running the solver (a concurrent leader's completed run).
-func (s *Server) runCached(ctx context.Context, cacheSpan *telemetry.Span, key string, req *modelio.SolveRequest, target int) (res *core.Result, hit bool, err error) {
-	tr := telemetry.FromContext(ctx)
-	res, hit, err = s.cache.do(ctx, key, target,
+	res, e, outcome, err := s.cache.do(ctx, key, req.MaxN,
 		func() (*core.Solver, error) {
 			sol, err := newSolverFor(req)
 			if err != nil {
@@ -232,12 +186,12 @@ func (s *Server) runCached(ctx context.Context, cacheSpan *telemetry.Span, key s
 			s.metrics.solveStarted()
 			defer s.metrics.solveFinished()
 			s.metrics.solveRuns.Add(1)
-			outcome := "miss"
+			kind := cacheMiss
 			if sol.N() > 0 {
 				s.metrics.solveExtends.Add(1)
-				outcome = "extend"
+				kind = cacheExtend
 			}
-			tr.SetAttr("cache", outcome)
+			tr.SetAttr("cache", cacheOutcomeAttr[kind])
 
 			span := tr.StartSpan("solve")
 			defer span.End()
@@ -286,8 +240,20 @@ func (s *Server) runCached(ctx context.Context, cacheSpan *telemetry.Span, key s
 			}
 			return runErr
 		})
-	cacheSpan.End() // idempotent: closes the span on the in-lock hit path
-	return res, hit, err
+	cacheSpan.End() // idempotent: closes the span when no run ended it
+	if err != nil {
+		return nil, nil, false, err
+	}
+	if !outcome.cached() {
+		s.metrics.cacheMisses.Add(1)
+		return res, nil, false, nil
+	}
+	s.metrics.cacheHits.Add(1)
+	if outcome == cacheCoalesced {
+		s.admission.RecordCoalesced()
+	}
+	tr.SetAttr("cache", cacheOutcomeAttr[outcome])
+	return res, e, true, nil
 }
 
 // progressEvery is the population stride at which a run publishes its

@@ -92,9 +92,8 @@ type Config struct {
 	// and the solverd_self_* metrics. Workers and Tracker are filled by New;
 	// the zero value uses the selfmodel defaults.
 	Self selfmodel.Config
-	// Admission tunes the model-guided admission gate and request coalescer
-	// (internal/admission) consulting the self-model ahead of the worker
-	// pool. The zero value observes: every request is evaluated and counted
+	// Admission tunes the model-guided admission gate (internal/admission)
+	// consulting the self-model ahead of the worker pool. The zero value observes: every request is evaluated and counted
 	// but none is refused, so behavior stays identical to a gate-less node.
 	Admission admission.Config
 	// Journal, when non-nil, is the bounded event journal every stateful
@@ -157,8 +156,9 @@ type Server struct {
 	tracker  *monitor.DeviationTracker
 	estimate *estimateRuntime
 	selfmon  *selfmodel.Monitor
-	// admission turns selfmon's shed signal into admission decisions and
-	// coalesces overlapping concurrent solves (internal/admission).
+	// admission turns selfmon's shed signal into admission decisions
+	// (internal/admission); it also holds the coalesced counter and the
+	// entry-lock waiter gauge the solve cache reports.
 	admission *admission.Controller
 
 	// root is the handler Run/Serve expose: the mux by default, or a
@@ -238,8 +238,10 @@ func New(cfg Config) *Server {
 	// writers are nil-safe and emit the full (zeroed) schema when disabled.
 	s.RegisterMetrics(cfg.Journal.WriteMetrics)
 	s.RegisterMetrics(cfg.Profiles.WriteMetrics)
-	// The solve cache journals evictions under LRU pressure.
+	// The solve cache journals evictions under LRU pressure and reports
+	// requests blocked on an entry lock to the admission waiter gauge.
 	s.cache.jn = cfg.Journal
+	s.cache.adm = adm
 	if cfg.EnablePprof {
 		// Registered on the server's own mux (not the global DefaultServeMux
 		// that importing net/http/pprof would populate), so profiling is
