@@ -43,7 +43,6 @@ import (
 	"repro/internal/interp"
 	"repro/internal/metrics"
 	"repro/internal/modelio"
-	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/queueing"
 	"repro/internal/report"
@@ -262,7 +261,7 @@ func main() {
 	// pair fed through the deviation tracker: breaches of the paper's 3%/9%
 	// bounds land as "prediction-deviation" traces in the flight recorder.
 	recorder := obs.New(obs.Config{Node: "livetier", SampleRate: 1})
-	tracker := monitor.NewDeviationTracker(recorder)
+	tracker := estimate.NewDeviationTracker(recorder)
 	holdout := []int{5, 12, 22, 36}
 	tab := report.NewTable("holdout validation against the live stack",
 		"Users", "measured X", "predicted X", "dev %", "measured R+Z ms", "predicted R+Z ms", "dev %")

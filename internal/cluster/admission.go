@@ -143,17 +143,10 @@ func (g *Gateway) redirectOverloaded(w http.ResponseWriter, r *http.Request, pat
 			continue
 		}
 		res := g.forwardOne(ctx, peer, path, body, false, redirected)
-		switch {
-		case res.good():
-			ps.breaker.success()
-		case ctx.Err() != nil:
-			ps.breaker.cancelProbe()
+		if g.breakerVerdict(ctx, ps, res) {
 			return false
-		default:
-			g.metrics.forwardFailures.Add(1)
-			if opened := ps.breaker.failure(time.Now()); opened {
-				g.cfg.Logger.Warn("cluster: circuit breaker opened", "peer", peer)
-			}
+		}
+		if !res.good() {
 			continue
 		}
 		g.consumeHeadroom(peer)

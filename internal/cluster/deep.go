@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/journal"
 	"repro/internal/modelio"
+	"repro/internal/server"
 	"repro/internal/telemetry"
 )
 
@@ -266,7 +267,7 @@ func (g *Gateway) handleDeepChunk(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	res, cps, err := g.local.SolveChunk(ctx, &req.Req, req.FromN, req.ToN, req.Checkpoint)
 	if err != nil {
-		g.local.WriteError(w, errStatus(err), err.Error())
+		g.local.WriteError(w, server.StatusOf(err), err.Error())
 		return
 	}
 	g.local.WriteJSON(w, http.StatusOK, modelio.DeepChunkResponse{

@@ -129,20 +129,7 @@ func (g *Gateway) forwardRound(parent context.Context, path string, body []byte,
 			// draining the channel, and a launched-but-unrecorded request
 			// would hold a half-open probe slot forever, wedging the
 			// breaker until process restart.
-			switch {
-			case res.good():
-				ps.breaker.success()
-			case ctx.Err() != nil:
-				// Abandoned, not answered — the race already has a winner
-				// or the parent context ended. No verdict; just release
-				// any probe slot this request was holding.
-				ps.breaker.cancelProbe()
-			default:
-				g.metrics.forwardFailures.Add(1)
-				if opened := ps.breaker.failure(time.Now()); opened {
-					g.cfg.Logger.Warn("cluster: circuit breaker opened", "peer", peer)
-				}
-			}
+			g.breakerVerdict(ctx, ps, res)
 			results <- res
 		}()
 	}
@@ -154,13 +141,19 @@ func (g *Gateway) forwardRound(parent context.Context, path string, body []byte,
 	if launched == 0 {
 		return fwdResult{}, false // every candidate breaker-blocked
 	}
-	hedgeTimer := time.NewTimer(g.hedgeDelay(candidates[next-1]))
-	defer hedgeTimer.Stop()
+	// With no candidate left to launch there is nothing to hedge to: skip
+	// the percentile (a sort of the latency window) and the timer.
+	var hedge <-chan time.Time
+	if next < len(candidates) {
+		hedgeTimer := time.NewTimer(g.hedgeDelay(candidates[next-1]))
+		defer hedgeTimer.Stop()
+		hedge = hedgeTimer.C
+	}
 
 	outstanding := launched
 	for {
 		select {
-		case <-hedgeTimer.C:
+		case <-hedge:
 			for next < len(candidates) {
 				before := launched
 				launch(candidates[next], true)
@@ -193,6 +186,27 @@ func (g *Gateway) forwardRound(parent context.Context, path string, body []byte,
 			return fwdResult{}, false
 		}
 	}
+}
+
+// breakerVerdict records one forwarded request's outcome on its peer's
+// breaker: success for a good result; no verdict when ctx ended first — the
+// request was abandoned, not answered, so it only releases any half-open
+// probe slot it held; otherwise a failure, counted in forwardFailures.
+// abandoned reports the middle case.
+func (g *Gateway) breakerVerdict(ctx context.Context, ps *peerState, res fwdResult) (abandoned bool) {
+	switch {
+	case res.good():
+		ps.breaker.success()
+	case ctx.Err() != nil:
+		ps.breaker.cancelProbe()
+		return true
+	default:
+		g.metrics.forwardFailures.Add(1)
+		if opened := ps.breaker.failure(time.Now()); opened {
+			g.cfg.Logger.Warn("cluster: circuit breaker opened", "peer", res.peer)
+		}
+	}
+	return false
 }
 
 // hedgeDelay picks how long the primary peer runs alone: its recent latency

@@ -9,7 +9,6 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/journal"
@@ -339,7 +338,7 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 		resp, err := g.local.SolveKeyed(ctx, key, &req)
 		if err != nil {
-			g.local.WriteError(w, errStatus(err), err.Error())
+			g.local.WriteError(w, server.StatusOf(err), err.Error())
 			return
 		}
 		w.Header().Set(headerPeer, g.cfg.Self)
@@ -358,11 +357,12 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 	g.route(w, r, key, "/v1/solve", body, serve)
 }
 
-// handleSweep routes POST /v1/sweep. The gateway plans the sweep exactly as
-// the local engine would — expand the grid, group points by resolved model —
-// then routes each group to its own key's owner as a single-point sub-sweep,
-// so a grid's groups land on (and warm the caches of) their owners across
-// the fabric. Member rows are reassembled in grid order.
+// handleSweep routes POST /v1/sweep through the server's sweep engine
+// (server.SweepGroups), which plans the grid exactly as a standalone node
+// does; only the answer to each group is cluster-specific: the group goes
+// as a single-point sub-sweep to its own key's owner (sweepGroup), so a
+// grid's groups land on (and warm the caches of) their owners across the
+// fabric.
 func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req modelio.SweepRequest
 	if _, ok := g.local.ReadRequest(w, r, &req); !ok {
@@ -372,73 +372,32 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 		g.local.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if r.Header.Get(headerForwarded) != "" && g.trustedHop(r) {
-		// Routed sub-sweeps are not re-gated: shedding one group would hole
-		// the coordinator's grid, and the coordinator's own entry gate
-		// already bounded the fan-out's origin.
-		g.serveSweepLocal(w, r, &req)
+	// Routed sub-sweeps are served here and not re-gated: shedding one group
+	// would hole the coordinator's grid, and the coordinator's own entry gate
+	// already bounded the fan-out's origin. The coordinator fans groups from
+	// this node, so like deep solves it can only be shed, not redirected.
+	forwarded := r.Header.Get(headerForwarded) != "" && g.trustedHop(r)
+	if !forwarded && !g.admitShedOnly(w, r) {
 		return
 	}
-	// The sweep coordinator fans groups from this node, so like deep solves
-	// it can only be shed, not redirected.
-	if !g.admitShedOnly(w, r) {
-		return
-	}
-	start := time.Now()
-	points, err := g.local.ExpandSweep(&req)
-	if err != nil {
-		g.local.WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	groups := req.PlanSweep(points)
 	ctx, cancel := g.local.SolveContext(r.Context(), req.TimeoutMS)
 	defer cancel()
-
-	results := make([]modelio.SweepPointResult, len(points))
-	// Bound the routed fan-out like the local engine bounds solves: each
-	// in-flight group can hold a full peer response body (doubled while a
-	// hedge is outstanding), so a goroutine per group would let one big
-	// sweep spike coordinator memory without limit.
-	workers := g.local.Workers()
-	if workers > len(groups) {
-		workers = len(groups)
+	var resp *modelio.SweepResponse
+	var err error
+	if forwarded {
+		resp, err = g.local.Sweep(ctx, &req)
+	} else {
+		resp, err = g.local.SweepGroups(ctx, &req, func(ctx context.Context, p modelio.GridPoint) modelio.SweepPointResult {
+			return g.sweepGroup(ctx, &req, p)
+		})
 	}
-	groupCh := make(chan modelio.SweepGroup)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for grp := range groupCh {
-				g.solveGroupRouted(ctx, &req, grp, points, results)
-			}
-		}()
-	}
-	for _, grp := range groups {
-		groupCh <- grp
-	}
-	close(groupCh)
-	wg.Wait()
-	if ctx.Err() != nil {
-		g.local.WriteError(w, http.StatusGatewayTimeout, context.Cause(ctx).Error())
-		return
-	}
-	g.local.WriteJSON(w, http.StatusOK, modelio.SweepResponse{
-		GridSize:  len(points),
-		Points:    results,
-		ElapsedMS: float64(time.Since(start)) / float64(time.Millisecond),
-	})
-}
-
-func (g *Gateway) serveSweepLocal(w http.ResponseWriter, r *http.Request, req *modelio.SweepRequest) {
-	ctx, cancel := g.local.SolveContext(r.Context(), req.TimeoutMS)
-	defer cancel()
-	resp, err := g.local.Sweep(ctx, req)
 	if err != nil {
-		g.local.WriteError(w, errStatus(err), err.Error())
+		g.local.WriteError(w, server.StatusOf(err), err.Error())
 		return
 	}
-	w.Header().Set(headerPeer, g.cfg.Self)
+	if forwarded {
+		w.Header().Set(headerPeer, g.cfg.Self)
+	}
 	g.local.WriteJSON(w, http.StatusOK, resp)
 }
 
@@ -468,47 +427,29 @@ func groupRouteKey(sub *modelio.SweepRequest) (string, error) {
 	return kb.GroupKey(pts[0]), nil
 }
 
-// solveGroupRouted answers one planned group through the fabric and fans the
-// rows out to the group's member points.
-func (g *Gateway) solveGroupRouted(ctx context.Context, req *modelio.SweepRequest,
-	grp modelio.SweepGroup, points []modelio.GridPoint, results []modelio.SweepPointResult) {
-	fail := func(err error) {
-		for _, i := range grp.Members {
-			results[i] = modelio.SweepPointResult{Point: points[i], Error: err.Error()}
-		}
+// sweepGroup answers one planned group with the sub-sweep of its point p.
+func (g *Gateway) sweepGroup(ctx context.Context, req *modelio.SweepRequest, p modelio.GridPoint) modelio.SweepPointResult {
+	resp, err := g.sweepViaOwner(ctx, subSweep(req, p))
+	if err == nil && len(resp.Points) != 1 {
+		err = fmt.Errorf("cluster: sub-sweep returned %d points (want 1)", len(resp.Points))
 	}
-	sub := subSweep(req, grp.Point)
-	key, err := groupRouteKey(sub)
 	if err != nil {
-		fail(err)
-		return
+		return modelio.SweepPointResult{Error: err.Error()}
 	}
-	resp, err := g.sweepViaOwner(ctx, key, sub)
-	if err != nil {
-		fail(err)
-		return
-	}
-	if len(resp.Points) != 1 {
-		fail(fmt.Errorf("cluster: sub-sweep returned %d points (want 1)", len(resp.Points)))
-		return
-	}
-	for _, i := range grp.Members {
-		pr := resp.Points[0]
-		pr.Point = points[i]
-		results[i] = pr
-	}
+	return resp.Points[0]
 }
 
 // sweepViaOwner answers one sub-sweep: locally when this node owns the key
 // (or the ring is empty of remotes), otherwise forwarded through the key's
 // candidates with local fallback.
-func (g *Gateway) sweepViaOwner(ctx context.Context, key string, sub *modelio.SweepRequest) (*modelio.SweepResponse, error) {
-	serveLocal := func() (*modelio.SweepResponse, error) {
-		return g.local.Sweep(ctx, sub)
+func (g *Gateway) sweepViaOwner(ctx context.Context, sub *modelio.SweepRequest) (*modelio.SweepResponse, error) {
+	key, err := groupRouteKey(sub)
+	if err != nil {
+		return nil, err
 	}
 	candidates := g.members.Ring().Owners(key, g.cfg.Replication)
 	if len(candidates) == 0 || candidates[0] == g.cfg.Self {
-		return serveLocal()
+		return g.local.Sweep(ctx, sub)
 	}
 	body, err := json.Marshal(sub)
 	if err != nil {
@@ -517,7 +458,7 @@ func (g *Gateway) sweepViaOwner(ctx context.Context, key string, sub *modelio.Sw
 	res, ok := g.forward(ctx, key, "/v1/sweep", body, candidates)
 	if !ok {
 		g.metrics.localFallbacks.Add(1)
-		return serveLocal()
+		return g.local.Sweep(ctx, sub)
 	}
 	if res.status != http.StatusOK {
 		return nil, errors.New(peerErrorMessage(res))
@@ -616,7 +557,3 @@ func (g *Gateway) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	g.local.WriteJSON(w, http.StatusOK, st)
 }
-
-// errStatus maps locally served engine errors to HTTP statuses, reusing the
-// server's own mapping.
-func errStatus(err error) int { return server.StatusOf(err) }

@@ -187,9 +187,17 @@ func FuzzSolveRequest(f *testing.F) {
 	})
 }
 
+// wireModel is the two-station model of the sweep and plan seeds.
+const wireModel = `{"name":"w","thinkTime":0.5,"stations":[{"name":"web/cpu","kind":"cpu","servers":4,"visits":1,"serviceTime":0.02},{"name":"db/disk","kind":"disk","servers":1,"visits":2,"serviceTime":0.004}]}`
+
+// decimatedDupSweep is a decimated sweep whose server axis repeats the
+// station's own count: its web/cpu=4 group has two members, and n=20 falls
+// between the stored rows, so that group's rows come from Result.Recover.
+const decimatedDupSweep = `{"algorithm":"multiserver","decimate":7,"model":` + wireModel + `,"populations":[20,45],"servers":{"web/cpu":[4,2,4]}}`
+
 // sweepPlanSeeds are valid and boundary /v1/sweep and /v1/plan bodies.
 func sweepPlanSeeds() (sweeps, plans []string) {
-	model := `{"name":"w","thinkTime":0.5,"stations":[{"name":"web/cpu","kind":"cpu","servers":4,"visits":1,"serviceTime":0.02},{"name":"db/disk","kind":"disk","servers":1,"visits":2,"serviceTime":0.004}]}`
+	model := wireModel
 	samples := `{"stations":[{"name":"web/cpu","at":[1,20,50],"demands":[0.02,0.018,0.017]},{"name":"db/disk","at":[1,20,50],"demands":[0.008,0.008,0.009]}]}`
 	zeroModel := `{"name":"z","thinkTime":0,"stations":[{"name":"a","kind":"cpu","servers":1,"visits":1,"serviceTime":0.01}]}`
 	zeroSamples := `{"stations":[{"name":"a","at":[1,2],"demands":[0,0]}]}`
@@ -209,6 +217,7 @@ func sweepPlanSeeds() (sweeps, plans []string) {
 		`{"model":` + model + `,"populations":[5],"thinkTimes":[0,1,2,3,4,5,6,7,8],"servers":{"web/cpu":[1,2,3,4,5,6,7,8]}}`,
 		`{"model":null,"populations":[5]}`,
 		`{"model":` + model + `,"populations":[5],"maxN":3}`,
+		decimatedDupSweep,
 	}
 	plans = []string{
 		`{"model":` + model + `,"users":10,"sla":{"maxResponseTime":0.5}}`,
@@ -251,4 +260,90 @@ func FuzzSweepPlanRequest(f *testing.F) {
 		}
 		p.check(t, path, body, entry)
 	})
+}
+
+// TestSweepDecimatedDuplicateAxisMatchesSolve: every row of
+// decimatedDupSweep — including both members of its two-member group —
+// equals the final row of a /v1/solve of that point's model at that
+// population (which the decimated solve path also re-derives through
+// Recover), on a standalone node and through either node of a 2-node
+// fabric.
+func TestSweepDecimatedDuplicateAxisMatchesSolve(t *testing.T) {
+	p := newWirePaths(t)
+	var req modelio.SweepRequest
+	if err := json.Unmarshal([]byte(decimatedDupSweep), &req); err != nil {
+		t.Fatal(err)
+	}
+	if err := req.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	points, err := req.Expand(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// post answers body on the standalone node (entry -1) or through a
+	// fabric node, and requires a 200.
+	post := func(entry int, path string, body []byte) []byte {
+		t.Helper()
+		if entry < 0 {
+			rec := httptest.NewRecorder()
+			p.standalone.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("standalone %s: %d %s", path, rec.Code, rec.Body)
+			}
+			return rec.Body.Bytes()
+		}
+		resp, err := http.Post(p.entries[entry]+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		reply, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("node %d %s: %d %s", entry, path, resp.StatusCode, reply)
+		}
+		return reply
+	}
+	for entry := -1; entry < len(p.entries); entry++ {
+		var got modelio.SweepResponse
+		if err := json.Unmarshal(post(entry, "/v1/sweep", []byte(decimatedDupSweep)), &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.GridSize != len(points) || len(got.Points) != len(points) {
+			t.Fatalf("entry %d: grid %d with %d points, want %d", entry, got.GridSize, len(got.Points), len(points))
+		}
+		for i, pt := range points {
+			gp := got.Points[i]
+			if gp.Error != "" || !reflect.DeepEqual(gp.Point, pt) || len(gp.Rows) != len(req.Populations) {
+				t.Fatalf("entry %d point %d: %+v (want point %+v)", entry, i, gp, pt)
+			}
+			for j, n := range req.Populations {
+				solve := req.PointRequest(pt)
+				solve.MaxN = n
+				body, err := json.Marshal(solve)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var sol modelio.SolveResponse
+				if err := json.Unmarshal(post(entry, "/v1/solve", body), &sol); err != nil {
+					t.Fatal(err)
+				}
+				tr := sol.Trajectory
+				last := len(tr.N) - 1
+				if tr.N[last] != n {
+					t.Fatalf("solve to %d ended at %d", n, tr.N[last])
+				}
+				want := modelio.SweepRow{N: n, X: tr.X[last], R: tr.R[last], Cycle: tr.Cycle[last]}
+				for _, u := range tr.FinalUtil {
+					want.BottleneckUtil = max(want.BottleneckUtil, u)
+				}
+				if gp.Rows[j] != want {
+					t.Errorf("entry %d point %d: sweep row %+v, solve row %+v", entry, i, gp.Rows[j], want)
+				}
+			}
+		}
+	}
 }

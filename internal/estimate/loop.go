@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/journal"
-	"repro/internal/monitor"
 )
 
 // TriggerReasons enumerates every re-estimation trigger the controller
@@ -15,7 +14,7 @@ var TriggerReasons = []string{"throughput", "cycle_time", "manual"}
 
 // Controller closes the loop between the deviation tracker and the
 // estimator: every measured (throughput, cycle time) pair is scored against
-// the current snapshot's MVASD prediction through monitor.DeviationTracker,
+// the current snapshot's MVASD prediction through DeviationTracker,
 // and a breach of the paper's 3%/9% bounds — which previously only
 // force-recorded a trace — now additionally triggers a re-fit of the demand
 // curves and, through OnRefit, invalidation of whatever the stale snapshot
@@ -33,7 +32,7 @@ type Controller struct {
 	Journal *journal.Journal
 
 	est     *Estimator
-	tracker *monitor.DeviationTracker
+	tracker *DeviationTracker
 
 	mu sync.Mutex
 	// solver is the prediction solver for solverVersion's snapshot, grown
@@ -45,9 +44,9 @@ type Controller struct {
 
 // NewController wires an estimator to a deviation tracker. A nil tracker
 // gets a fresh standalone one (no flight recorder).
-func NewController(est *Estimator, tracker *monitor.DeviationTracker) *Controller {
+func NewController(est *Estimator, tracker *DeviationTracker) *Controller {
 	if tracker == nil {
-		tracker = monitor.NewDeviationTracker(nil)
+		tracker = NewDeviationTracker(nil)
 	}
 	return &Controller{
 		est:      est,
@@ -57,7 +56,7 @@ func NewController(est *Estimator, tracker *monitor.DeviationTracker) *Controlle
 }
 
 // Tracker returns the wired deviation tracker.
-func (c *Controller) Tracker() *monitor.DeviationTracker { return c.tracker }
+func (c *Controller) Tracker() *DeviationTracker { return c.tracker }
 
 // CheckResult reports one closed-loop evaluation.
 type CheckResult struct {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/monitor"
 )
 
 // TestClosedLoopDriftRecovery is the acceptance test for the closed loop:
@@ -26,7 +25,7 @@ func TestClosedLoopDriftRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl := NewController(e, monitor.NewDeviationTracker(nil))
+	ctl := NewController(e, NewDeviationTracker(nil))
 	var hookOld, hookNew []uint64
 	ctl.OnRefit = func(oldV, newV uint64) {
 		hookOld = append(hookOld, oldV)
@@ -80,7 +79,7 @@ func TestClosedLoopDriftRecovery(t *testing.T) {
 	if !res.ThroughputBreach {
 		t.Fatalf("drift did not breach the 3%% throughput bound: %+v", res)
 	}
-	if res.ThroughputDeviation <= monitor.ThroughputDeviationBound {
+	if res.ThroughputDeviation <= ThroughputDeviationBound {
 		t.Fatalf("drifted deviation %g not past the bound", res.ThroughputDeviation)
 	}
 	if !res.Reestimated || res.RefitError != "" {

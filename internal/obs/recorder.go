@@ -206,7 +206,7 @@ func (r *Recorder) Record(tr *telemetry.Trace, handler string, status int, dur t
 
 // ForceRecord stores the trace unconditionally, bypassing sampling. Used for
 // out-of-band events that must never be dropped (e.g. prediction-deviation
-// breaches from internal/monitor).
+// breaches from estimate.DeviationTracker).
 func (r *Recorder) ForceRecord(tr *telemetry.Trace, handler string, status int, dur time.Duration) {
 	if r == nil || tr == nil || r.cfg.MaxTraces < 0 {
 		return

@@ -14,9 +14,10 @@
 // by a p99 bound) minus what is in flight right now.
 //
 // Every window with completions is also scored against the prediction through
-// internal/monitor under the paper's validation bounds (3% throughput, 9%
-// latency); a breach force-records a deviation trace and triggers a re-fit,
-// so the self-model heals the same way the request-facing estimator does.
+// estimate.DeviationTracker under the paper's validation bounds (3%
+// throughput, 9% latency); a breach force-records a deviation trace and
+// triggers a re-fit, so the self-model heals the same way the
+// request-facing estimator does.
 // The monitor itself never decides: the shed signal it exposes (a gauge and
 // a report field) is consumed by internal/admission, whose gate turns it into
 // an admission decision only in enforce mode.
@@ -34,7 +35,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/estimate"
 	"repro/internal/journal"
-	"repro/internal/monitor"
 	"repro/internal/promtext"
 	"repro/internal/queueing"
 )
@@ -79,7 +79,7 @@ type Config struct {
 	// estimator's defaults to MinSamples 4 and MinFitPoints 3.
 	Estimate estimate.Config
 	// Tracker scores predicted-vs-observed windows (nil: a standalone one).
-	Tracker *monitor.DeviationTracker
+	Tracker *estimate.DeviationTracker
 	// Journal, when non-nil, receives a TypeSelfReady event on warmup→ready
 	// and a TypeKneeShift event when the predicted saturation knee moves by
 	// KneeShiftThreshold or more between published reports.
@@ -118,7 +118,7 @@ func (c *Config) defaults() {
 		c.Estimate.MinFitPoints = 3
 	}
 	if c.Tracker == nil {
-		c.Tracker = monitor.NewDeviationTracker(nil)
+		c.Tracker = estimate.NewDeviationTracker(nil)
 	}
 	if c.Now == nil {
 		c.Now = time.Now
@@ -247,7 +247,7 @@ type curve struct {
 type Monitor struct {
 	cfg     Config
 	est     *estimate.Estimator
-	tracker *monitor.DeviationTracker
+	tracker *estimate.DeviationTracker
 
 	mu sync.Mutex
 	// Event-side state: population counters and their time integrals.
@@ -634,12 +634,12 @@ func (m *Monitor) scoreLocked(n int, x, p50, p99 float64) {
 			Breached: over, Breaches: m.breaches[metric],
 		})
 	}
-	record("self_throughput", x, predX, monitor.ThroughputDeviationBound)
+	record("self_throughput", x, predX, estimate.ThroughputDeviationBound)
 	if p50 > 0 {
-		record("self_p50", p50, predCycle, monitor.CycleTimeDeviationBound)
+		record("self_p50", p50, predCycle, estimate.CycleTimeDeviationBound)
 	}
 	if m.shapeSet && p99 > 0 {
-		record("self_p99", p99, m.shape*predCycle, monitor.CycleTimeDeviationBound)
+		record("self_p99", p99, m.shape*predCycle, estimate.CycleTimeDeviationBound)
 	}
 	// Update the p99/p50 shape after scoring, so the prediction never learns
 	// from the very window it is judged against.

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/monitor"
+	"repro/internal/estimate"
 	"repro/internal/promtest"
 	"repro/internal/queueing"
 )
@@ -97,22 +97,22 @@ func TestDeterministicValidation(t *testing.T) {
 	if !rep.Saturated || rep.KneeN == 0 {
 		t.Fatalf("predicted curve not saturated: %+v", rep)
 	}
-	if dev := math.Abs(float64(rep.KneeN-kneeTruth)) / float64(kneeTruth); dev > monitor.ThroughputDeviationBound {
+	if dev := math.Abs(float64(rep.KneeN-kneeTruth)) / float64(kneeTruth); dev > estimate.ThroughputDeviationBound {
 		t.Errorf("predicted knee %d vs truth %d: deviation %.3f > %.2f",
-			rep.KneeN, kneeTruth, dev, monitor.ThroughputDeviationBound)
+			rep.KneeN, kneeTruth, dev, estimate.ThroughputDeviationBound)
 	}
 
 	// Predicted vs measured at the last operating point (n=32).
 	if rep.ObservedP50 <= 0 || rep.PredictedP50 <= 0 {
 		t.Fatalf("missing p50s: %+v", rep)
 	}
-	if dev := math.Abs(rep.PredictedP50-rep.ObservedP50) / rep.ObservedP50; dev > monitor.CycleTimeDeviationBound {
+	if dev := math.Abs(rep.PredictedP50-rep.ObservedP50) / rep.ObservedP50; dev > estimate.CycleTimeDeviationBound {
 		t.Errorf("p50 predicted %.4fs vs measured %.4fs: deviation %.3f > %.2f",
-			rep.PredictedP50, rep.ObservedP50, dev, monitor.CycleTimeDeviationBound)
+			rep.PredictedP50, rep.ObservedP50, dev, estimate.CycleTimeDeviationBound)
 	}
-	if dev := math.Abs(rep.PredictedX-rep.ObservedX) / rep.ObservedX; dev > monitor.ThroughputDeviationBound {
+	if dev := math.Abs(rep.PredictedX-rep.ObservedX) / rep.ObservedX; dev > estimate.ThroughputDeviationBound {
 		t.Errorf("throughput predicted %.2f vs measured %.2f: deviation %.3f > %.2f",
-			rep.PredictedX, rep.ObservedX, dev, monitor.ThroughputDeviationBound)
+			rep.PredictedX, rep.ObservedX, dev, estimate.ThroughputDeviationBound)
 	}
 
 	// Every scored metric stayed inside its bound over the whole run.

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -54,26 +55,6 @@ func (s *Server) peerFiller() PeerFiller {
 	}
 	return nil
 }
-
-// ExpandSweep checks a normalized sweep against the server's caps (MaxN,
-// MaxSweepPoints) and expands its grid. Sweep and the cluster gateway's
-// coordinator both call it, so a refused sweep gets the same error text on
-// every path.
-func (s *Server) ExpandSweep(req *modelio.SweepRequest) ([]modelio.GridPoint, error) {
-	if err := s.checkMaxN(req.MaxN, req.Decimate); err != nil {
-		return nil, err
-	}
-	points, err := req.Expand(s.cfg.MaxSweepPoints)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %s", ErrLimit, err)
-	}
-	return points, nil
-}
-
-// Workers reports the configured solve concurrency — the cluster gateway
-// sizes its routed sweep fan-out to match, so a coordinator never holds more
-// in-flight peer responses than it would run local solves.
-func (s *Server) Workers() int { return s.pool.cap() }
 
 // SolveContext derives a solve context from ctx: the server-wide request
 // timeout, shortened (never extended) by the request's own timeoutMs.
@@ -202,37 +183,67 @@ func (s *Server) SolveChunk(ctx context.Context, req *modelio.SolveRequest, from
 	return sol.Result(), &out, nil
 }
 
-// Sweep answers one normalized sweep request — the engine behind
-// POST /v1/sweep. The expanded grid is planned first: points resolving to
-// the same model form one group, each group is one cached solve at the
-// sweep's largest population, and every member's rows fan out from the
-// shared trajectory. A request-wide deadline trumps partial results.
+// Sweep answers one normalized sweep on this node — the engine behind
+// POST /v1/sweep. Each planned group is one cached solve at the sweep's
+// largest population, and its rows are extracted once and shared by every
+// member point.
 func (s *Server) Sweep(ctx context.Context, req *modelio.SweepRequest) (*modelio.SweepResponse, error) {
-	start := time.Now()
-	points, err := s.ExpandSweep(req)
-	if err != nil {
-		return nil, err
-	}
 	// Hash the shared key material (algorithm, interp, samples, base model)
 	// once; per-group keys mix in only the point's resolved signature.
 	keyBase, err := req.KeyBase()
 	if err != nil {
 		return nil, err
 	}
-	groups := req.PlanSweep(points)
+	return s.SweepGroups(ctx, req, func(ctx context.Context, p modelio.GridPoint) modelio.SweepPointResult {
+		pointReq := req.PointRequest(p)
+		res, _, hit, err := s.solveWithKey(ctx, keyBase.GroupKey(p), pointReq)
+		if err != nil {
+			return modelio.SweepPointResult{Error: err.Error()}
+		}
+		return pointResult(res, pointReq, req.Populations, hit)
+	})
+}
 
+// SweepGroups runs a normalized sweep with solve answering each group: it
+// checks the sweep against the server's caps (MaxN, MaxSweepPoints), expands
+// and plans the grid — points resolving to the same model form one group —
+// and calls solve once per group with the group's representative point,
+// keeping at most Workers groups in flight. Each answer is copied to every
+// member under the member's own grid point, in Expand order. Sweep passes
+// the local cached solve; the cluster gateway passes its owner routing. A
+// request-wide deadline fails the whole sweep: the client asked for the
+// grid, not a fragment of it.
+func (s *Server) SweepGroups(ctx context.Context, req *modelio.SweepRequest,
+	solve func(ctx context.Context, p modelio.GridPoint) modelio.SweepPointResult) (*modelio.SweepResponse, error) {
+	start := time.Now()
+	if err := s.checkMaxN(req.MaxN, req.Decimate); err != nil {
+		return nil, err
+	}
+	points, err := req.Expand(s.cfg.MaxSweepPoints)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %s", ErrLimit, err)
+	}
+	groups := req.PlanSweep(points)
 	results := make([]modelio.SweepPointResult, len(points))
+	// Bounded like the worker pool: an in-flight routed group can hold a
+	// full peer response body, so a goroutine per group would let one big
+	// sweep spike a coordinator's memory without limit.
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for _, g := range groups {
+	for range min(s.pool.cap(), len(groups)) {
 		wg.Add(1)
-		go func(g modelio.SweepGroup) {
+		go func() {
 			defer wg.Done()
-			s.solveGroup(ctx, req, keyBase, g, points, results)
-		}(g)
+			for i := int(next.Add(1)) - 1; i < len(groups) && ctx.Err() == nil; i = int(next.Add(1)) - 1 {
+				res := solve(ctx, groups[i].Point)
+				for _, m := range groups[i].Members {
+					res.Point = points[m]
+					results[m] = res
+				}
+			}
+		}()
 	}
 	wg.Wait()
-	// A request-wide deadline trumps partial results: the client asked for
-	// the grid, not a fragment of it.
 	if ctx.Err() != nil {
 		return nil, context.Cause(ctx)
 	}

@@ -288,7 +288,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSweep serves POST /v1/sweep through the exported Sweep engine; see
-// Sweep for the grid planning and group fan-out.
+// SweepGroups for the grid planning and group fan-out.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req modelio.SweepRequest
 	if _, ok := s.ReadRequest(w, r, &req); !ok {
@@ -308,28 +308,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.WriteJSON(w, http.StatusOK, resp)
 }
 
-// solveGroup solves one planned group and fans the shared trajectory out to
-// every member point; a failure is recorded on each member inline so the
-// rest of the sweep still completes.
-func (s *Server) solveGroup(ctx context.Context, req *modelio.SweepRequest, keyBase *modelio.SweepKeyBase,
-	g modelio.SweepGroup, points []modelio.GridPoint, results []modelio.SweepPointResult) {
-	pointReq := req.PointRequest(g.Point)
-	res, _, hit, err := s.solveWithKey(ctx, keyBase.GroupKey(g.Point), pointReq)
-	for _, i := range g.Members {
-		if err != nil {
-			results[i] = modelio.SweepPointResult{Point: points[i], Error: err.Error()}
-			continue
-		}
-		results[i] = pointResult(res, pointReq, points[i], req.Populations, hit)
-	}
-}
-
-// pointResult extracts one grid point's rows from its group's trajectory.
-// Populations a decimated trajectory skipped are re-derived from the stored
-// checkpoints (Result.Recover), so a sweep over a decimated solve reports
-// exactly the rows a dense solve would.
-func pointResult(res *core.Result, req *modelio.SolveRequest, p modelio.GridPoint, populations []int, hit bool) modelio.SweepPointResult {
-	out := modelio.SweepPointResult{Point: p, Cached: hit}
+// pointResult extracts one planned group's rows from its trajectory (the
+// engine fills in each member's Point). Populations a decimated trajectory
+// skipped are re-derived from the stored checkpoints (Result.Recover), so a
+// sweep over a decimated solve reports exactly the rows a dense solve would.
+func pointResult(res *core.Result, req *modelio.SolveRequest, populations []int, hit bool) modelio.SweepPointResult {
+	out := modelio.SweepPointResult{Cached: hit}
 	var missing []int
 	for _, n := range populations {
 		if res.IndexOf(n) < 0 {
@@ -386,7 +370,7 @@ func pointResult(res *core.Result, req *modelio.SolveRequest, p modelio.GridPoin
 		if x-x != 0 || resp-resp != 0 || cycle-cycle != 0 || bu-bu != 0 { // NaN or ±Inf
 			// Sampled demands can still sum to zero with the think time:
 			// JSON cannot carry the ±Inf, so the point fails as /v1/solve does.
-			return modelio.SweepPointResult{Point: p, Error: queueing.ErrNotFinite.Error()}
+			return modelio.SweepPointResult{Error: queueing.ErrNotFinite.Error()}
 		}
 		out.Rows = append(out.Rows, modelio.SweepRow{
 			N: n, X: x, R: resp, Cycle: cycle, BottleneckUtil: bu,

@@ -38,7 +38,6 @@ import (
 	"repro/internal/admission"
 	"repro/internal/estimate"
 	"repro/internal/journal"
-	"repro/internal/monitor"
 	"repro/internal/obs"
 	"repro/internal/selfmodel"
 )
@@ -153,7 +152,7 @@ type Server struct {
 	// 3%/9% validation bounds); estimate is the online-estimation runtime
 	// closing the loop on its breaches; selfmon is the node modeling its own
 	// request handling with the same loop (internal/selfmodel).
-	tracker  *monitor.DeviationTracker
+	tracker  *estimate.DeviationTracker
 	estimate *estimateRuntime
 	selfmon  *selfmodel.Monitor
 	// admission turns selfmon's shed signal into admission decisions
@@ -181,7 +180,7 @@ type Server struct {
 // New builds a Server from cfg (zero value fine).
 func New(cfg Config) *Server {
 	cfg.defaults()
-	tracker := monitor.NewDeviationTracker(cfg.Recorder)
+	tracker := estimate.NewDeviationTracker(cfg.Recorder)
 	// Every bound breach (request-facing and self-model — both flow through
 	// this shared tracker) lands in the event journal and may trigger an
 	// anomaly profile capture. Both hooks are nil-safe.
