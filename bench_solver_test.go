@@ -274,8 +274,8 @@ func BenchmarkSolverDeep(b *testing.B) {
 // (three 16-core CPUs) to N=10⁴ at stride 50, through Algorithm 2 with
 // constant demands and Algorithm 3 with demands interpolated from seven
 // Chebyshev-node samples, the way solverd builds them from a request.
-// Alongside ns per population, each records the allocations of the steps
-// between stored rows, which must stay at zero.
+// Alongside ns per population, each records the allocations per step of a
+// run across whole strides, stored rows included, which must stay at zero.
 func benchDeepMultiServer(b *testing.B) {
 	const maxN, stride = 10_000, 50
 	prof := testbed.VINS()
@@ -327,14 +327,14 @@ func benchDeepMultiServer(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer s.Release()
-			recordBenchAllocs(b, "ns_per_pop", nsPerPop, betweenRowAllocs(b, s, stride))
+			recordBenchAllocs(b, "ns_per_pop", nsPerPop, strideAllocs(b, s, stride))
 		})
 	}
 }
 
-// TestDecimatedStepBetweenRowsAllocs pins the decimated multi-server step
-// between stored rows at zero allocations, with and without the server's
-// hooks installed.
+// TestDecimatedStepBetweenRowsAllocs pins a decimated multi-server run at
+// zero allocations per stride, its stored row included, with and without
+// the server's hooks installed.
 func TestDecimatedStepBetweenRowsAllocs(t *testing.T) {
 	m := testbed.VINS().Model(1)
 	dm := core.ConstantDemands(m.Demands())
@@ -353,8 +353,8 @@ func TestDecimatedStepBetweenRowsAllocs(t *testing.T) {
 			if hooked {
 				s.SetHooks(&core.SolveHooks{OnStep: func(int, float64) { steps++ }})
 			}
-			if allocs := betweenRowAllocs(t, s, 50); allocs != 0 {
-				t.Errorf("%s (hooks %v): %.2f allocs per step between stored rows, want 0", name, hooked, allocs)
+			if allocs := strideAllocs(t, s, 50); allocs != 0 {
+				t.Errorf("%s (hooks %v): %.2f allocs per step across a stride, want 0", name, hooked, allocs)
 			}
 			if hooked && steps == 0 {
 				t.Errorf("%s: OnStep never fired", name)
@@ -364,10 +364,10 @@ func TestDecimatedStepBetweenRowsAllocs(t *testing.T) {
 	}
 }
 
-// betweenRowAllocs returns the allocations per population step between the
-// stored rows of a decimated run: a Run across one stride allocates only its
-// one stored row's checkpoint, which Solver.Checkpoint reproduces.
-func betweenRowAllocs(tb testing.TB, s *core.Solver, stride int) float64 {
+// strideAllocs returns the allocations per population step of a decimated
+// run across whole strides, each stored row included, inside reserved
+// capacity.
+func strideAllocs(tb testing.TB, s *core.Solver, stride int) float64 {
 	const runs = 20
 	if err := s.Decimate(stride); err != nil {
 		tb.Fatal(err)
@@ -380,12 +380,7 @@ func betweenRowAllocs(tb testing.TB, s *core.Solver, stride int) float64 {
 			tb.Fatal(err)
 		}
 	})
-	perCheckpoint := testing.AllocsPerRun(runs, func() {
-		if _, err := s.Checkpoint(); err != nil {
-			tb.Fatal(err)
-		}
-	})
-	return (perStride - perCheckpoint) / float64(stride-1)
+	return perStride / float64(stride)
 }
 
 // benchPostJSON posts a JSON body and drains the response.

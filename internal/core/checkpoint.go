@@ -9,7 +9,9 @@ import (
 // the trajectory itself. It is the unit of cluster-wide cache fill — a node
 // that receives a trajectory plus its checkpoint can Restore a fresh solver
 // and Extend it with results bit-identical to never having moved the
-// computation at all.
+// computation at all. Solver.Checkpoint copies the live state; a decimated
+// trajectory keeps no checkpoints but rebuilds the one at any stored row
+// from the row itself (Result.CheckpointAt).
 //
 // Which fields are populated depends on the algorithm:
 //

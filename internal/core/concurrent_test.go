@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -77,5 +78,99 @@ func TestConcurrentSolves(t *testing.T) {
 	// The model must come through untouched.
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecimatedViewsReadWhileExtending rebuilds states and recovers rows
+// from PrefixPop views on several goroutines while the solver that produced
+// them keeps extending, the way the server answers prefix hits beside an
+// in-place extend. Run under -race, it shows that storing a row's history
+// never writes what an earlier view reads; the views must also agree with a
+// solver that ran the same targets alone.
+func TestDecimatedViewsReadWhileExtending(t *testing.T) {
+	m := solverTestModel()
+	const stride, step, maxN, readers = 9, 25, 400, 4
+	builders := map[string]func() (*Solver, error){
+		"multiserver": func() (*Solver, error) {
+			return NewMultiServerSolver(m, MultiServerOptions{TraceStation: -1})
+		},
+		"multiserver-verbatim": func() (*Solver, error) {
+			return NewMultiServerSolver(m, MultiServerOptions{Verbatim: true, TraceStation: -1})
+		},
+		"load-dependent": func() (*Solver, error) { return NewLoadDependentSolver(m, nil) },
+	}
+	for name, build := range builders {
+		t.Run(name, func(t *testing.T) {
+			// extend runs a decimated solver to maxN in step-wide runs,
+			// handing out the view at each run's end.
+			extend := func(publish func(*Result)) *Solver {
+				s, err := build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Decimate(stride); err != nil {
+					t.Fatal(err)
+				}
+				for n := step; n <= maxN; n += step {
+					if err := s.Run(n); err != nil {
+						t.Fatal(err)
+					}
+					v, err := s.Result().PrefixPop(n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					publish(v)
+				}
+				return s
+			}
+			ref := extend(func(*Result) {})
+			defer ref.Release()
+			want := ref.Result()
+
+			check := func(v *Result) error {
+				for i, n := range v.N {
+					if got := v.CheckpointAt(i); !sameState(want.CheckpointAt(want.IndexOf(n)), got) {
+						return fmt.Errorf("view to %d: row %d (n=%d) rebuilt %+v", v.SolvedN(), i, n, got)
+					}
+				}
+				n := v.SolvedN() - 1
+				got, err := v.Recover([]int{n}, build)
+				if err != nil {
+					return err
+				}
+				exp, err := want.Recover([]int{n}, build)
+				if err != nil {
+					return err
+				}
+				if got[0].X != exp[0].X || got[0].R != exp[0].R {
+					return fmt.Errorf("view to %d: recovered n=%d X=%v R=%v, want X=%v R=%v",
+						v.SolvedN(), n, got[0].X, got[0].R, exp[0].X, exp[0].R)
+				}
+				return nil
+			}
+			views := make(chan *Result)
+			errs := make([]error, readers)
+			var wg sync.WaitGroup
+			for g := 0; g < readers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for v := range views {
+						if err := check(v); err != nil && errs[g] == nil {
+							errs[g] = err
+						}
+					}
+				}(g)
+			}
+			s := extend(func(v *Result) { views <- v })
+			close(views)
+			wg.Wait()
+			s.Release()
+			for _, err := range errs {
+				if err != nil {
+					t.Error(err)
+				}
+			}
+		})
 	}
 }

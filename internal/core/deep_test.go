@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -29,7 +30,7 @@ func rowEqualsRecovered(t *testing.T, dense *Result, rec RecoveredRow) {
 }
 
 // TestDecimatedBitIdenticalToDense is the decimation property test: a
-// decimated solve's stored rows (and their checkpoints) must be
+// decimated solve's stored rows (and their rebuilt checkpoints) must be
 // float-for-float identical to the dense solve, for every algorithm.
 func TestDecimatedBitIdenticalToDense(t *testing.T) {
 	m := solverTestModel()
@@ -53,15 +54,12 @@ func TestDecimatedBitIdenticalToDense(t *testing.T) {
 			if dec.Len() != wantRows {
 				t.Fatalf("stored %d rows, want %d", dec.Len(), wantRows)
 			}
-			if len(dec.Checkpoints) != dec.Len() {
-				t.Fatalf("%d checkpoints for %d rows", len(dec.Checkpoints), dec.Len())
-			}
 			for i, n := range dec.N {
 				if n%stride != 0 && n != maxN {
 					t.Fatalf("stored population %d is neither stride-aligned nor final", n)
 				}
-				if dec.Checkpoints[i].N != n {
-					t.Fatalf("checkpoint %d at population %d, row holds %d", i, dec.Checkpoints[i].N, n)
+				if cp := dec.CheckpointAt(i); cp == nil || cp.N != n {
+					t.Fatalf("row %d holds population %d, its checkpoint %+v", i, n, cp)
 				}
 				j := dense.IndexOf(n)
 				if j != n-1 {
@@ -112,7 +110,8 @@ func TestDecimatedBitIdenticalToDense(t *testing.T) {
 }
 
 // TestDecimatedRecoverSkippedRows re-derives every skipped population from
-// the stored checkpoints and requires exact equality with the dense solve.
+// the states rebuilt at stored rows and requires exact equality with the
+// dense solve.
 func TestDecimatedRecoverSkippedRows(t *testing.T) {
 	m := solverTestModel()
 	const maxN, stride = 97, 12
@@ -214,8 +213,8 @@ func TestDecimatedCancelKeepsFilledFrontier(t *testing.T) {
 					t.Fatalf("%s: ΣQ + X·Z = %v, want %d", view, sumQ, cutN)
 				}
 				rowsEqual(t, r, last, dense, cutN-1)
-				if len(r.Checkpoints) != r.Len() || r.Checkpoints[last].N != cutN {
-					t.Fatalf("%s: %d checkpoints for %d rows", view, len(r.Checkpoints), r.Len())
+				if cp := r.CheckpointAt(last); cp == nil || cp.N != cutN {
+					t.Fatalf("%s: frontier row's checkpoint %+v, want one at %d", view, cp, cutN)
 				}
 			}
 
@@ -286,8 +285,8 @@ func TestDecimatedExtend(t *testing.T) {
 		if res.X[i] != dense.X[n-1] {
 			t.Fatalf("n=%d: X %v vs dense %v", n, res.X[i], dense.X[n-1])
 		}
-		if res.Checkpoints[i].N != n {
-			t.Fatalf("checkpoint %d at %d, want %d", i, res.Checkpoints[i].N, n)
+		if cp := res.CheckpointAt(i); cp == nil || cp.N != n {
+			t.Fatalf("row %d's checkpoint %+v, want one at %d", i, cp, n)
 		}
 	}
 	// Population-aware lookups.
@@ -311,8 +310,11 @@ func TestDecimatedExtend(t *testing.T) {
 	if view.SolvedN() != 130 || view.Len() != 7 || view.N[view.Len()-1] != 125 {
 		t.Fatalf("PrefixPop(130): SolvedN=%d len=%d last=%d", view.SolvedN(), view.Len(), view.N[view.Len()-1])
 	}
-	if len(view.Checkpoints) != view.Len() {
-		t.Fatalf("view carries %d checkpoints for %d rows", len(view.Checkpoints), view.Len())
+	if cp := view.CheckpointAt(view.Len() - 1); cp == nil || cp.N != 125 {
+		t.Fatalf("view's last row rebuilds checkpoint %+v, want one at 125", cp)
+	}
+	if cp := view.CheckpointAt(view.Len()); cp != nil {
+		t.Fatalf("view rebuilds a checkpoint past its rows: %+v", cp)
 	}
 	if _, err := res.PrefixPop(201); err == nil {
 		t.Fatal("PrefixPop beyond SolvedN should fail")
@@ -407,5 +409,153 @@ func TestDecimateGuards(t *testing.T) {
 	}
 	if err := s.ResumeFrom(cp); !errors.Is(err, ErrBadRun) {
 		t.Fatalf("ResumeFrom into a run solver: %v", err)
+	}
+}
+
+// sameState reports whether checkpoint got equals want float bit for float
+// bit and shape for shape.
+func sameState(want, got *Checkpoint) bool {
+	same := func(a, b []float64) bool {
+		if len(a) != len(b) || (a == nil) != (b == nil) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	ok := got != nil && got.Algorithm == want.Algorithm && got.N == want.N &&
+		math.Float64bits(got.X) == math.Float64bits(want.X) && same(got.Queue, want.Queue) &&
+		len(got.Marginal) == len(want.Marginal) && (got.Marginal == nil) == (want.Marginal == nil)
+	for k := 0; ok && k < len(want.Marginal); k++ {
+		ok = same(got.Marginal[k], want.Marginal[k])
+	}
+	return ok
+}
+
+// requireSameState fails unless the rebuilt checkpoint got equals want, the
+// live state.
+func requireSameState(t *testing.T, what string, want, got *Checkpoint) {
+	t.Helper()
+	if !sameState(want, got) {
+		t.Fatalf("%s: rebuilt state %+v, live state %+v", what, got, want)
+	}
+}
+
+// TestCheckpointAtEqualsLiveState checks that the recursion state a
+// decimated trajectory rebuilds at each stored row equals the live
+// Solver.Checkpoint taken right after the row was stored: for a cold run, a
+// chunk resumed with ResumeFrom, a PrefixPop view taken mid-run, and the
+// frontier row a cancelled run keeps. The rebuilds run after the solvers
+// are released and another solve has reused the pooled scratch.
+func TestCheckpointAtEqualsLiveState(t *testing.T) {
+	m := solverTestModel()
+	const stride, maxN, seedN, viewN, cutN = 7, 150, 23, 66, 101
+	for name, alg := range solverAlgorithms(t, m) {
+		t.Run(name, func(t *testing.T) {
+			// run drives s to population to one stride at a time, storing the
+			// rows a single Run stores, and records the live state at each.
+			run := func(s *Solver, to int, live map[int]*Checkpoint) {
+				for n := s.N(); n < to; {
+					n = min((n/stride+1)*stride, to)
+					if err := s.Run(n); err != nil {
+						t.Fatal(err)
+					}
+					cp, err := s.Checkpoint()
+					if err != nil {
+						t.Fatal(err)
+					}
+					live[n] = cp
+				}
+			}
+			check := func(what string, r *Result, live map[int]*Checkpoint) {
+				t.Helper()
+				if r.Len() == 0 {
+					t.Fatalf("%s stores no rows", what)
+				}
+				for i, n := range r.N {
+					want, ok := live[n]
+					if !ok {
+						t.Fatalf("%s: row %d holds population %d, which was never stored", what, i, n)
+					}
+					requireSameState(t, fmt.Sprintf("%s row %d (n=%d)", what, i, n), want, r.CheckpointAt(i))
+				}
+			}
+			decimated := func() *Solver {
+				s := alg.fresh()
+				if err := s.Decimate(stride); err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+
+			coldLive := map[int]*Checkpoint{}
+			cold := decimated()
+			run(cold, viewN+4, coldLive)
+			view, err := cold.Result().PrefixPop(viewN)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run(cold, maxN, coldLive)
+			cold.Release()
+
+			src := alg.fresh()
+			if err := src.Run(seedN); err != nil {
+				t.Fatal(err)
+			}
+			seed, err := src.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			src.Release()
+			chunk := alg.fresh()
+			if err := chunk.ResumeFrom(seed); err != nil {
+				t.Fatal(err)
+			}
+			if err := chunk.Decimate(stride); err != nil {
+				t.Fatal(err)
+			}
+			chunkLive := map[int]*Checkpoint{}
+			run(chunk, maxN, chunkLive)
+			chunk.Release()
+
+			cut := decimated()
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cut.SetHooks(&SolveHooks{OnStep: func(n int, _ float64) {
+				if n == cutN {
+					cancel()
+				}
+			}})
+			if err := cut.RunContext(ctx, maxN); !errors.Is(err, context.Canceled) {
+				t.Fatalf("want context.Canceled, got %v", err)
+			}
+			frontier, err := cut.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut.Release()
+
+			// Reuse the pooled scratch the released solvers returned.
+			other := alg.fresh()
+			if err := other.Run(maxN); err != nil {
+				t.Fatal(err)
+			}
+			other.Release()
+
+			check("cold", cold.Result(), coldLive)
+			check("PrefixPop view", view, coldLive)
+			check("resumed chunk", chunk.Result(), chunkLive)
+			if got := chunk.Result().CheckpointAt(-1); got != nil {
+				t.Fatalf("CheckpointAt(-1) = %+v, want nil", got)
+			}
+			res := cut.Result()
+			requireSameState(t, "cancelled frontier", frontier, res.CheckpointAt(res.Len()-1))
+			if alg.cold(10).CheckpointAt(0) != nil {
+				t.Fatal("a dense trajectory rebuilt a checkpoint")
+			}
+		})
 	}
 }

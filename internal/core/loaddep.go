@@ -179,6 +179,31 @@ func (s *loadDepStepper) restore(cp *Checkpoint) error {
 	return nil
 }
 
+// rowState: every marginal row grows with the population, so the whole
+// distribution is history.
+func (s *loadDepStepper) rowState() rowState { return loadDepRows{} }
+
+func (s *loadDepStepper) history(buf []float64) []float64 {
+	for _, row := range s.p {
+		buf = append(buf, row...)
+	}
+	return buf
+}
+
+// loadDepRows rebuilds the load-dependent state from its stored history:
+// after step n every station's row holds n+1 probabilities, back to back in
+// station order.
+type loadDepRows struct{}
+
+func (loadDepRows) rebuild(cp *Checkpoint, r *Result, i int, hist []float64) {
+	flat := append([]float64(nil), hist...)
+	w := len(flat) / r.k
+	cp.Marginal = make([][]float64, r.k)
+	for k := range cp.Marginal {
+		cp.Marginal[k] = flat[k*w : (k+1)*w : (k+1)*w]
+	}
+}
+
 // NewLoadDependentSolver returns a resumable exact load-dependent MVA
 // solver. rates may be nil or contain nil entries, which default to each
 // station's MultiServerRate.

@@ -81,7 +81,7 @@ func newMultiServerState(m *queueing.Model) *multiServerState {
 		s.p[i] = getVec(st.Servers)
 		s.p[i][0] = 1 // empty network: P(0 customers) = 1
 		s.stn[i] = msStation{servers: st.Servers, c: float64(st.Servers), delay: st.Kind == queueing.Delay}
-		if !s.stn[i].delay && st.Servers > 1 {
+		if s.stn[i].carried() {
 			size += memoWays * st.Servers
 		}
 	}
@@ -89,7 +89,7 @@ func newMultiServerState(m *queueing.Model) *multiServerState {
 	rest := s.memoBuf
 	for i := range s.stn {
 		sk := &s.stn[i]
-		if sk.delay || sk.servers == 1 {
+		if !sk.carried() {
 			continue
 		}
 		sk.ps, rest = rest[:memoWays*sk.servers], rest[memoWays*sk.servers:]
@@ -158,6 +158,77 @@ func (s *multiServerState) restore(cp *Checkpoint) error {
 	}
 	s.resetDerived()
 	return nil
+}
+
+// carried reports whether the step updates station k's marginals: only a
+// multi-server queue's do. The other rows keep their value from
+// construction or restore, [1, 0, …] in any state a solver produced, and
+// weigh nothing in a step: a delay station has no queue, and a single
+// server's F_k is 0·P_k(0).
+func (sk *msStation) carried() bool { return !sk.delay && sk.servers > 1 }
+
+// rowState describes how a stored row rebuilds this state: withX when the
+// stepper also carries the row's throughput, verbatim when the carried
+// marginals follow the printed update, whose values depend on history.
+func (s *multiServerState) rowState(withX, verbatim bool) rowState {
+	ms := marginalRows{servers: make([]int, len(s.stn)), carried: make([]bool, len(s.stn)),
+		withX: withX, verbatim: verbatim}
+	for k := range s.stn {
+		ms.servers[k], ms.carried[k] = s.stn[k].servers, s.stn[k].carried()
+	}
+	return ms
+}
+
+// history appends the verbatim update's carried marginals; the closed form
+// is rebuilt from the row.
+func (s *multiServerState) history(buf []float64, verbatim bool) []float64 {
+	if !verbatim {
+		return buf
+	}
+	for k := range s.stn {
+		if s.stn[k].carried() {
+			buf = append(buf, s.p[k]...)
+		}
+	}
+	return buf
+}
+
+// marginalRows is the recursion state of Algorithms 2 and 3 at a stored row:
+// the row's queue lengths, its throughput when withX, and the marginals. A
+// carried station's marginals are the closed form at the row's u = X·D_k —
+// closedForm gives the bits closedFormAt's memo holds — or, verbatim, the
+// stored history; every other station's are [1, 0, …].
+type marginalRows struct {
+	servers         []int  // C_k, the width of station k's marginal row
+	carried         []bool // the step updates station k's marginals
+	withX, verbatim bool
+}
+
+func (ms marginalRows) rebuild(cp *Checkpoint, r *Result, i int, hist []float64) {
+	cp.Queue = append([]float64(nil), r.QueueLen[i]...)
+	if ms.withX {
+		cp.X = r.X[i]
+	}
+	total := 0
+	for _, c := range ms.servers {
+		total += c
+	}
+	flat := make([]float64, total)
+	cp.Marginal = make([][]float64, len(ms.servers))
+	x, d := r.X[i], r.Demands[i]
+	for k, c := range ms.servers {
+		p := flat[:c:c]
+		flat = flat[c:]
+		switch {
+		case !ms.carried[k]:
+			p[0] = 1
+		case ms.verbatim:
+			hist = hist[copy(p, hist):]
+		default:
+			closedForm(x*d[k], float64(c), p)
+		}
+		cp.Marginal[k] = p
+	}
 }
 
 // closedFormAt brings p[k] and f[k] to the closed form of multi-server
@@ -288,7 +359,7 @@ func multiServerStep(m *queueing.Model, st *multiServerState, demands []float64,
 	for k := 0; k < kk; k++ {
 		queue[k] = x * resid[k]
 		sk := &stn[k]
-		if sk.delay || sk.servers == 1 {
+		if !sk.carried() {
 			// P_k(0) stays 1 for single servers: F_k ≡ 0 and eq. 10
 			// reduces to the single-server eq. 8, as the paper notes.
 			continue
@@ -364,6 +435,12 @@ func (s *multiServerStepper) restore(cp *Checkpoint) error {
 		return fmt.Errorf("%w: cannot restore a marginal-tracing solver", ErrBadRun)
 	}
 	return s.st.restore(cp)
+}
+
+func (s *multiServerStepper) rowState() rowState { return s.st.rowState(false, s.verbatim) }
+
+func (s *multiServerStepper) history(buf []float64) []float64 {
+	return s.st.history(buf, s.verbatim)
 }
 
 // NewMultiServerSolver returns a resumable Algorithm-2 solver for m. When

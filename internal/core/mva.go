@@ -57,6 +57,7 @@ func validateRun(m *queueing.Model, n int) error {
 // state is the previous step's queue-length vector; everything else is
 // hoisted model invariants.
 type exactStepper struct {
+	noHistory
 	c stationConsts
 	z float64
 	q []float64 // Q_k at the previous population
@@ -127,6 +128,8 @@ func (e *exactStepper) checkpoint(cp *Checkpoint) {
 func (e *exactStepper) restore(cp *Checkpoint) error {
 	return copyQueue(e.q, cp.Queue)
 }
+
+func (e *exactStepper) rowState() rowState { return queueRows{} }
 
 // NewExactMVASolver returns a resumable Algorithm-1 solver for m.
 func NewExactMVASolver(m *queueing.Model) (*Solver, error) {
@@ -203,6 +206,7 @@ func (o *SchweitzerOptions) defaults() {
 // The converged q vector is therefore real recursion state and is carried
 // in checkpoints.
 type schweitzerStepper struct {
+	noHistory
 	c      stationConsts
 	z      float64
 	opts   SchweitzerOptions
@@ -297,6 +301,8 @@ func (s *schweitzerStepper) restore(cp *Checkpoint) error {
 	s.primed = true
 	return nil
 }
+
+func (s *schweitzerStepper) rowState() rowState { return queueRows{} }
 
 // NewSchweitzerSolver returns a resumable Bard–Schweitzer solver for m.
 func NewSchweitzerSolver(m *queueing.Model, opts SchweitzerOptions) (*Solver, error) {

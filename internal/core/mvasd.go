@@ -140,6 +140,13 @@ func (s *mvasdStepper) restore(cp *Checkpoint) error {
 	return nil
 }
 
+// rowState rebuilds the throughput too: it is the fixed point's warm start.
+func (s *mvasdStepper) rowState() rowState { return s.st.rowState(true, s.opts.Verbatim) }
+
+func (s *mvasdStepper) history(buf []float64) []float64 {
+	return s.st.history(buf, s.opts.Verbatim)
+}
+
 // NewMVASDSolver returns a resumable Algorithm-3 solver: demands come from
 // dm at every population step (the model's station demands are ignored).
 func NewMVASDSolver(m *queueing.Model, dm DemandModel, opts MVASDOptions) (*Solver, error) {
@@ -192,6 +199,7 @@ func mvasd(ctx context.Context, m *queueing.Model, maxN int, dm DemandModel, opt
 // mvasdSingleStepper is the Fig.-8 baseline step: eq. 8 with demands
 // normalised by the server count.
 type mvasdSingleStepper struct {
+	noHistory
 	m    *queueing.Model
 	dm   DemandModel
 	q    []float64
@@ -239,6 +247,8 @@ func (s *mvasdSingleStepper) checkpoint(cp *Checkpoint) {
 func (s *mvasdSingleStepper) restore(cp *Checkpoint) error {
 	return copyQueue(s.q, cp.Queue)
 }
+
+func (s *mvasdSingleStepper) rowState() rowState { return queueRows{} }
 
 // NewMVASDSingleServerSolver returns a resumable solver for the paper's
 // single-server MVASD baseline.

@@ -29,35 +29,17 @@ func (r *Result) rowCopy(i int) RecoveredRow {
 	}
 }
 
-// checkpointAtOrBelow returns the stored checkpoint with the largest
-// population ≤ n, or nil when none exists (n precedes the first stored row).
-func (r *Result) checkpointAtOrBelow(n int) *Checkpoint {
-	cps := r.Checkpoints
-	lo, hi := 0, len(cps)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if cps[mid].N <= n {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return nil
-	}
-	return cps[lo-1]
-}
-
 // Recover re-derives the requested populations from a (possibly decimated)
 // trajectory. ns must be ascending and within 1..SolvedN. Populations held
 // in stored rows are copied directly; skipped populations are recomputed by
 // seeding a fresh solver — built by the supplied factory, which must
-// reproduce the solver configuration that produced r — with the nearest
-// stored checkpoint at or below the population and extending densely from
-// there. Because each stepper's recursion is deterministic and checkpoints
-// capture its full state, recovered rows are float-for-float identical to
-// what a dense solve stores; each gap costs at most stride-1 dense steps,
-// so memory and time stay bounded by the decimation stride per row.
+// reproduce the solver configuration that produced r — with the recursion
+// state rebuilt at the nearest stored row at or below the population
+// (CheckpointAt) and extending densely from there. Because each stepper's
+// recursion is deterministic and the rebuilt state is its full state,
+// recovered rows are float-for-float identical to what a dense solve
+// stores; each gap costs at most stride-1 dense steps, so memory and time
+// stay bounded by the decimation stride per row.
 func (r *Result) Recover(ns []int, fresh func() (*Solver, error)) ([]RecoveredRow, error) {
 	out := make([]RecoveredRow, 0, len(ns))
 	var sub *Solver
@@ -79,13 +61,14 @@ func (r *Result) Recover(ns []int, fresh func() (*Solver, error)) ([]RecoveredRo
 			out = append(out, r.rowCopy(i))
 			continue
 		}
-		cp := r.checkpointAtOrBelow(n)
-		base := 0
-		if cp != nil {
-			base = cp.N
+		// The seed is the nearest stored row below n; a dense trajectory
+		// keeps no state, so its recovery solves from population 0.
+		seed, base := r.rowsThrough(n)-1, 0
+		if seed >= 0 && r.state != nil {
+			base = r.N[seed]
 		}
 		// Reuse the in-flight recovery solver while it is the closest seed;
-		// once a nearer checkpoint exists, restart from it so no recovery
+		// once a nearer stored row exists, restart from it so no recovery
 		// ever extends densely across more than one decimation gap.
 		if sub == nil || sub.N() > n || sub.N() < base {
 			if sub != nil {
@@ -101,8 +84,8 @@ func (r *Result) Recover(ns []int, fresh func() (*Solver, error)) ([]RecoveredRo
 				return nil, fmt.Errorf("%w: recover factory built %q, trajectory is %q",
 					ErrBadRun, s2.Result().Algorithm, r.Algorithm)
 			}
-			if cp != nil {
-				if err := s2.ResumeFrom(cp); err != nil {
+			if base > 0 {
+				if err := s2.ResumeFrom(r.CheckpointAt(seed)); err != nil {
 					s2.Release()
 					return nil, err
 				}

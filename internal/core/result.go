@@ -67,12 +67,6 @@ type Result struct {
 	// constant for classic MVA, varying for MVASD.
 	Demands [][]float64
 
-	// Checkpoints[i] is the solver's recursion state at stored row i. Only
-	// decimated trajectories (stride > 1) carry checkpoints: they are what
-	// makes skipped rows recoverable (re-extend densely from the nearest
-	// stored checkpoint ≤ n). Dense trajectories leave this nil.
-	Checkpoints []*Checkpoint
-
 	// Growable backing. Each [][]float64 metric is a prefix of its row-header
 	// array (qRows etc.), whose rows are non-overlapping k-wide windows into
 	// one flat buffer. appendRow only reslices the public headers, so a step
@@ -90,6 +84,15 @@ type Result struct {
 	basePop int // recursion was seeded at this population (rows start after it)
 	solvedN int // largest population the recursion has advanced through
 	staged  bool
+
+	// A decimated trajectory rebuilds the recursion state at each stored
+	// row from the row itself (CheckpointAt), through state. Only what a
+	// row cannot rebuild — state that depends on the recursion's history —
+	// is stored, back to back in hist: row i's part ends at histEnd[i].
+	// Dense trajectories leave all three nil.
+	state   rowState
+	hist    []float64
+	histEnd []int
 
 	nBuf   []int
 	xBuf   []float64
@@ -171,10 +174,11 @@ func (r *Result) reserve(n int) {
 	r.resFlat, r.resRows = grow(r.resFlat)
 	r.dFlat, r.dRows = grow(r.dFlat)
 	if r.stride > 1 {
-		// Every stored row of a decimated trajectory carries a checkpoint.
-		cps := make([]*Checkpoint, len(r.Checkpoints), newCap)
-		copy(cps, r.Checkpoints)
-		r.Checkpoints = cps
+		// Every stored row of a decimated trajectory records where its
+		// history ends.
+		histEnd := make([]int, newCap)
+		copy(histEnd, r.histEnd[:rows])
+		r.histEnd = histEnd
 	}
 
 	r.capRows = newCap
@@ -266,8 +270,8 @@ func (r *Result) truncate(rows int) {
 		} else {
 			r.solvedN = r.nBuf[rows-1]
 		}
-		if len(r.Checkpoints) > rows {
-			r.Checkpoints = r.Checkpoints[:rows]
+		if r.stride > 1 {
+			r.hist = r.hist[:r.histStart(rows)]
 		}
 	}
 }
@@ -360,24 +364,25 @@ func (r *Result) PrefixPop(n int) (*Result, error) {
 		return nil, fmt.Errorf("core: prefix population %d outside solved range %d..%d",
 			n, r.basePop+1, r.SolvedN())
 	}
+	return r.view(r.rowsThrough(n), n), nil
+}
+
+// rowsThrough returns the number of stored rows with population ≤ n.
+func (r *Result) rowsThrough(n int) int {
 	rows := len(r.N)
 	if r.stride <= 1 {
-		if d := n - r.basePop; d < rows {
-			rows = d
-		}
-	} else {
-		lo, hi := 0, rows
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if r.N[mid] <= n {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		rows = lo
+		return max(0, min(rows, n-r.basePop))
 	}
-	return r.view(rows, n), nil
+	lo, hi := 0, rows
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if r.N[mid] <= n {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // view builds the read-only snapshot shared by Prefix and PrefixPop: the
@@ -402,10 +407,37 @@ func (r *Result) view(rows, solvedN int) *Result {
 		basePop:      r.basePop,
 		solvedN:      solvedN,
 	}
-	if len(r.Checkpoints) >= rows && r.stride > 1 {
-		v.Checkpoints = r.Checkpoints[:rows:rows]
+	if r.stride > 1 {
+		// Rows past the view only ever append to hist beyond histEnd[rows-1].
+		v.state, v.hist, v.histEnd = r.state, r.hist, r.histEnd[:rows:rows]
 	}
 	return v
+}
+
+// histStart returns where stored row i's history begins in hist.
+func (r *Result) histStart(i int) int {
+	if i == 0 {
+		return 0
+	}
+	return r.histEnd[i-1]
+}
+
+// CheckpointAt rebuilds the recursion state at stored row i of a decimated
+// trajectory: the checkpoint a Solver.Checkpoint taken right after the row
+// was stored returns, float for float. Most of that state is the row itself
+// — its queue lengths, and for the multi-server recursions the closed-form
+// marginals at u = X·D_k — so only history-dependent state (verbatim
+// Algorithm-2 marginals, load-dependent distributions) is stored beside the
+// rows. The checkpoint owns fresh backing. CheckpointAt returns nil for a
+// dense trajectory, whose rows keep no state, and for i outside the stored
+// rows.
+func (r *Result) CheckpointAt(i int) *Checkpoint {
+	if r.state == nil || i < 0 || i >= len(r.N) {
+		return nil
+	}
+	cp := &Checkpoint{Algorithm: r.Algorithm, N: r.N[i]}
+	r.state.rebuild(cp, r, i, r.hist[r.histStart(i):r.histEnd[i]])
+	return cp
 }
 
 // At returns the (X, R, Cycle) triple at population n, or an error if n is

@@ -30,7 +30,35 @@ type stepper interface {
 	// restore overwrites the stepper's recursion state from cp, validating
 	// shapes; Solver.Restore guarantees it runs only on a fresh stepper.
 	restore(cp *Checkpoint) error
+	// rowState says how a decimated trajectory rebuilds this stepper's
+	// recursion state at a stored row (see Result.CheckpointAt).
+	rowState() rowState
+	// history appends to buf the part of the post-step recursion state that
+	// rowState cannot rebuild from the row (nothing for most steppers).
+	history(buf []float64) []float64
 }
+
+// rowState rebuilds the recursion state at stored row i of a decimated
+// trajectory into cp, from the row itself and hist, the state the stepper's
+// history stored beside the row. Implementations hold only values derived
+// from the model, never pooled solver scratch: a Result outlives its
+// solver's Release.
+type rowState interface {
+	rebuild(cp *Checkpoint, r *Result, i int, hist []float64)
+}
+
+// queueRows is the state of the single-server recursions (exact, Schweitzer
+// and single-server MVASD): the queue lengths the row stores.
+type queueRows struct{}
+
+func (queueRows) rebuild(cp *Checkpoint, r *Result, i int, _ []float64) {
+	cp.Queue = append([]float64(nil), r.QueueLen[i]...)
+}
+
+// noHistory is the history of a stepper whose rows rebuild its whole state.
+type noHistory struct{}
+
+func (noHistory) history(buf []float64) []float64 { return buf }
 
 // SolveHooks observes a Solver's progress. Every field is optional; a nil
 // hooks pointer (the default) costs the hot loop a single nil check per
@@ -110,9 +138,11 @@ func (s *Solver) Reserve(n int) {
 // Decimate configures the solver to store only every stride-th population
 // (plus each run's final population) while still advancing the recursion
 // through every population — bounding a deep solve's memory at
-// N/stride rows. Every stored row carries the recursion checkpoint at that
-// population, so any skipped row is recoverable bit-identically by
-// re-extending from the nearest stored checkpoint (see Result.Recover).
+// N/stride rows. The recursion state at every stored row is rebuilt from
+// the row itself on demand (Result.CheckpointAt), with only its
+// history-dependent remainder stored, so any skipped row is recoverable
+// bit-identically by re-extending from the nearest stored row (see
+// Result.Recover).
 // Decimate must be called before the first Run; stride 1 is a no-op.
 // Marginal-tracing multi-server solvers cannot be decimated (the trace is
 // per-population and would misalign with the stored rows).
@@ -133,6 +163,8 @@ func (s *Solver) Decimate(stride int) error {
 		return fmt.Errorf("%w: decimate a marginal-tracing solver", ErrBadRun)
 	}
 	s.res.stride = stride
+	s.res.state = s.alg.rowState()
+	s.res.histEnd = make([]int, s.res.capRows) // Reserve may have run before the stride was set
 	return nil
 }
 
@@ -205,7 +237,7 @@ func (s *Solver) RunContext(ctx context.Context, maxN int) error {
 					// The staged row holds the frontier n-1, which no later
 					// step has touched yet: keep it as this run's final row,
 					// so the trajectory never exposes an unfilled row.
-					s.keep(n-1, len(res.N)-1, stride)
+					s.keep(len(res.N)-1, stride)
 				}
 				return err
 			}
@@ -217,7 +249,7 @@ func (s *Solver) RunContext(ctx context.Context, maxN int) error {
 		}
 		res.solvedN = n
 		if stride == 1 || n%stride == 0 || n == maxN {
-			s.keep(n, i, stride)
+			s.keep(i, stride)
 		}
 		if s.hooks != nil && s.hooks.OnStep != nil {
 			s.hooks.OnStep(n, res.xBuf[i])
@@ -226,17 +258,16 @@ func (s *Solver) RunContext(ctx context.Context, maxN int) error {
 	return nil
 }
 
-// keep completes staged row i, which holds population n, and commits it:
-// fill writes the rest of the row from the post-step state, and a decimated
-// trajectory stores the recursion checkpoint beside every kept row.
-func (s *Solver) keep(n, i, stride int) {
+// keep completes staged row i and commits it: fill writes the rest of the
+// row from the post-step state, and a decimated trajectory stores beside it
+// the history its recursion state cannot be rebuilt without.
+func (s *Solver) keep(i, stride int) {
 	res := s.res
 	s.alg.fill(res, i)
 	res.commitStaged()
 	if stride > 1 {
-		cp := &Checkpoint{Algorithm: res.Algorithm, N: n}
-		s.alg.checkpoint(cp)
-		res.Checkpoints = append(res.Checkpoints, cp)
+		res.hist = s.alg.history(res.hist)
+		res.histEnd[i] = len(res.hist)
 	}
 }
 

@@ -67,10 +67,10 @@ type SolveRequest struct {
 	// (the final population is always kept); 0 returns every row.
 	Every int `json:"every,omitempty"`
 	// Decimate bounds the solve's memory for deep populations: the solver
-	// stores only every k-th population (plus the final one, each with its
-	// recursion checkpoint) while still advancing through every population.
-	// Stored rows are bit-identical to a dense solve; skipped rows are
-	// recoverable from the stored checkpoints. 0 or 1 solves densely.
+	// stores only every k-th population (plus the final one) while still
+	// advancing through every population. Stored rows are bit-identical to a
+	// dense solve; skipped rows are recoverable from the recursion state
+	// rebuilt at the nearest stored row. 0 or 1 solves densely.
 	// Unlike Every — which only thins the response — Decimate changes which
 	// rows exist server-side, so it is part of the cache key.
 	Decimate int `json:"decimate,omitempty"`

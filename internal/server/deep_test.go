@@ -13,7 +13,7 @@ import (
 // land on stride multiples (plus the final population), every value is
 // bit-identical to the dense solve, and a follow-up request whose maxN falls
 // between stored rows is served from the cache with its final row recovered
-// from the nearest stored checkpoint.
+// from the state rebuilt at the nearest stored row.
 func TestSolveDecimated(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	m := testModel()
@@ -150,7 +150,7 @@ func TestSolveDeepOverRowCap(t *testing.T) {
 }
 
 // TestSweepDecimated checks sweep fan-out over a decimated trajectory:
-// populations that fall between stored rows are recovered from checkpoints
+// populations that fall between stored rows are recovered from their states
 // and every reported row is bit-identical to the dense sweep's.
 func TestSweepDecimated(t *testing.T) {
 	_, ts := newTestServer(t, Config{})

@@ -113,9 +113,9 @@ func (s *Server) SolveKeyed(ctx context.Context, key string, req *modelio.SolveR
 	traj := modelio.NewTrajectory(res, req.Every)
 	if res.IndexOf(req.MaxN) < 0 {
 		// A decimated cache entry solved deeper than this request stores no
-		// row at exactly maxN; re-derive it from the nearest stored
-		// checkpoint (≤ stride dense steps) so the response's final row is
-		// the population the client asked for.
+		// row at exactly maxN; re-derive it from the state rebuilt at the
+		// nearest stored row (≤ stride dense steps) so the response's final
+		// row is the population the client asked for.
 		rows, err := res.Recover([]int{req.MaxN}, recoverFactory(req))
 		if err != nil {
 			return nil, err

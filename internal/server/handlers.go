@@ -131,7 +131,7 @@ func newDenseSolverFor(req *modelio.SolveRequest) (*core.Solver, error) {
 }
 
 // recoverFactory adapts a request into Result.Recover's fresh-solver hook.
-// Recovery re-extends densely from a stored checkpoint, so the sub-solver is
+// Recovery re-extends densely from a stored row's state, so the sub-solver is
 // built without the request's decimation.
 func recoverFactory(req *modelio.SolveRequest) func() (*core.Solver, error) {
 	return func() (*core.Solver, error) { return newDenseSolverFor(req) }
@@ -310,7 +310,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 // pointResult extracts one planned group's rows from its trajectory (the
 // engine fills in each member's Point). Populations a decimated trajectory
-// skipped are re-derived from the stored checkpoints (Result.Recover), so a
+// skipped are re-derived from the stored rows' states (Result.Recover), so a
 // sweep over a decimated solve reports exactly the rows a dense solve would.
 func pointResult(res *core.Result, req *modelio.SolveRequest, populations []int, hit bool) modelio.SweepPointResult {
 	out := modelio.SweepPointResult{Cached: hit}
