@@ -581,6 +581,47 @@ func BenchmarkSolverSweepPlanned(b *testing.B) {
 	recordBench(b, "grid_points", float64(len(sweepPopulations)))
 }
 
+// BenchmarkSolverSweepFabricLocal measures a warm fabric sweep whose every
+// group this node owns: a one-member gateway, driven in-process through
+// ServeHTTP, answers solverbench's mixed-rw sweep shape — the VINS model,
+// three think times × two app/cpu server counts (6 groups), eight
+// populations — with every group a prefix hit of its owned cache entry. The
+// cost is the sweep engine, the gateway's per-group routing and the reply's
+// encoding; the solver never runs. Steady-state allocs/op are recorded too.
+func BenchmarkSolverSweepFabricLocal(b *testing.B) {
+	const self = "bench-local:1"
+	srv := server.New(server.Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	gw, err := cluster.New(srv, cluster.Config{Self: self, Peers: []string{self}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	body, err := json.Marshal(modelio.SweepRequest{
+		SolveRequest: modelio.SolveRequest{Algorithm: modelio.AlgoMultiServer, Model: testbed.VINS().Model(1)},
+		Populations:  sweepPopulations,
+		ThinkTimes:   []float64{1, 2, 3},
+		Servers:      map[string][]int{"app/cpu": {16, 8}},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sweep := func() {
+		rec := httptest.NewRecorder()
+		gw.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweep", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("sweep: %d %s", rec.Code, rec.Body)
+		}
+	}
+	sweep() // solve every group once: the timed sweeps are all prefix hits
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
+	}
+	b.StopTimer()
+	allocs := testing.AllocsPerRun(32, sweep)
+	recordBenchAllocs(b, "groups", 6, allocs)
+}
+
 // benchSolveBodies are /v1/solve bodies shaped like solverbench's: the VINS
 // profile's single-user model, plain (multiserver) and with seven
 // Chebyshev-node demand samples per station (mvasd). fallback is the mvasd

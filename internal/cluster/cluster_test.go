@@ -330,6 +330,50 @@ func TestClusterSweepFanout(t *testing.T) {
 	}
 }
 
+// TestClusterSweepGroupsCachedOnOwner: a fabric sweep keys each group
+// exactly as a standalone node does, and the group lands in its key's
+// owner's cache under that key, so a peer fill of the key finds it.
+func TestClusterSweepGroupsCachedOnOwner(t *testing.T) {
+	nodes := startCluster(t, 3, nil)
+	sweep := &modelio.SweepRequest{
+		SolveRequest: modelio.SolveRequest{Algorithm: "multiserver", Model: testModel(1.0)},
+		Populations:  []int{40, 90},
+		ThinkTimes:   []float64{0.5, 1.0, 1.5},
+		Servers:      map[string][]int{"web/cpu": {2, 4, 8}},
+	}
+	resp, body := postJSON(t, "http://"+nodes[0].addr+"/v1/sweep", sweep, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep: status %d: %s", resp.StatusCode, body)
+	}
+	if err := sweep.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	points, err := sweep.Expand(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kb, err := sweep.KeyBase()
+	if err != nil {
+		t.Fatal(err)
+	}
+	byAddr := make(map[string]*testNode, len(nodes))
+	for _, n := range nodes {
+		byAddr[n.addr] = n
+	}
+	owners := make(map[string]bool)
+	for _, g := range sweep.PlanSweep(points) {
+		key := kb.GroupKey(g.Point)
+		owner := nodes[0].gw.Ring().Owner(key)
+		owners[owner] = true
+		if _, _, ok := byAddr[owner].srv.ExportCached(context.Background(), key); !ok {
+			t.Errorf("group %+v: key %s is not cached on its owner %s", g.Point, key, owner)
+		}
+	}
+	if len(owners) < 2 {
+		t.Errorf("all groups owned by %v; the test needs groups spread over the fabric", owners)
+	}
+}
+
 // TestClusterFailover kills a key's owner and checks the fabric keeps
 // answering with no client-visible 5xx while the dead peer's circuit breaker
 // opens. Probing is effectively disabled so the failover comes from the

@@ -3,9 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
-	"strconv"
 
 	"repro/internal/journal"
 	"repro/internal/server"
@@ -41,21 +39,12 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 		g.local.WriteError(w, http.StatusForbidden, "cluster secret required")
 		return
 	}
-	q := r.URL.Query()
-	if typ := q.Get("type"); typ != "" && !journal.KnownType(typ) {
-		g.local.WriteError(w, http.StatusBadRequest, fmt.Sprintf("unknown event type %q", typ))
+	f, err := journal.ParseFilter(r.URL.Query())
+	if err != nil {
+		g.local.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	limit := 0
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			g.local.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad limit %q", v))
-			return
-		}
-		limit = n
-	}
-	local := nodeResult[[]journal.Event]{node: g.cfg.Self, val: g.localEvents(q), ok: true}
+	local := nodeResult[[]journal.Event]{node: g.cfg.Self, val: g.jn.Events(f), ok: true}
 	path := "/debug/events"
 	if r.URL.RawQuery != "" {
 		path += "?" + r.URL.RawQuery
@@ -80,33 +69,10 @@ func (g *Gateway) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	out.Events = mergeTimelines(timelines)
-	if limit > 0 && len(out.Events) > limit {
-		out.Events = out.Events[len(out.Events)-limit:]
+	if f.Limit > 0 && len(out.Events) > f.Limit {
+		out.Events = out.Events[len(out.Events)-f.Limit:]
 	}
 	g.local.WriteJSON(w, http.StatusOK, out)
-}
-
-// localEvents reads the local journal under the same query filters the
-// remote members apply ("" journal contributes nothing).
-func (g *Gateway) localEvents(q map[string][]string) []journal.Event {
-	get := func(k string) string {
-		if vs := q[k]; len(vs) > 0 {
-			return vs[0]
-		}
-		return ""
-	}
-	f := journal.Filter{Type: get("type"), TraceID: get("trace")}
-	if v := get("since"); v != "" {
-		if since, err := strconv.ParseUint(v, 10, 64); err == nil {
-			f.SinceSeq = since
-		}
-	}
-	if v := get("limit"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			f.Limit = n
-		}
-	}
-	return g.jn.Events(f)
 }
 
 // mergeTimelines k-way merges per-node event slices (each ascending in that

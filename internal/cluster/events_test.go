@@ -116,7 +116,7 @@ func TestClusterFleetTimeline(t *testing.T) {
 	}
 
 	// Bad parameters are rejected at the gateway, before any fan-out.
-	for _, bad := range []string{"?type=nope", "?limit=-1"} {
+	for _, bad := range []string{"?type=nope", "?limit=-1", "?since=x"} {
 		resp, err := http.Get("http://" + entry.addr + "/cluster/v1/events" + bad)
 		if err != nil {
 			t.Fatal(err)

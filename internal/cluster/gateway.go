@@ -358,11 +358,11 @@ func (g *Gateway) handleSolve(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSweep routes POST /v1/sweep through the server's sweep engine
-// (server.SweepGroups), which plans the grid exactly as a standalone node
-// does; only the answer to each group is cluster-specific: the group goes
-// as a single-point sub-sweep to its own key's owner (sweepGroup), so a
-// grid's groups land on (and warm the caches of) their owners across the
-// fabric.
+// (server.SweepGroups), which plans the grid and keys every group exactly
+// as a standalone node does; only the answer to each group is
+// cluster-specific. A forwarded hop answers its one group locally; an entry
+// sweep sends each group to its key's owner (sweepGroup), so a grid's groups
+// land on (and warm the caches of) their owners across the fabric.
 func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req modelio.SweepRequest
 	if _, ok := g.local.ReadRequest(w, r, &req); !ok {
@@ -382,15 +382,12 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := g.local.SolveContext(r.Context(), req.TimeoutMS)
 	defer cancel()
-	var resp *modelio.SweepResponse
-	var err error
-	if forwarded {
-		resp, err = g.local.Sweep(ctx, &req)
-	} else {
-		resp, err = g.local.SweepGroups(ctx, &req, func(ctx context.Context, p modelio.GridPoint) modelio.SweepPointResult {
-			return g.sweepGroup(ctx, &req, p)
-		})
-	}
+	resp, err := g.local.SweepGroups(ctx, &req, func(ctx context.Context, p modelio.GridPoint, key string) modelio.SweepPointResult {
+		if forwarded {
+			return g.local.SweepGroup(ctx, &req, p, key)
+		}
+		return g.sweepGroup(ctx, &req, p, key)
+	})
 	if err != nil {
 		g.local.WriteError(w, server.StatusOf(err), err.Error())
 		return
@@ -401,73 +398,39 @@ func (g *Gateway) handleSweep(w http.ResponseWriter, r *http.Request) {
 	g.local.WriteJSON(w, http.StatusOK, resp)
 }
 
-// subSweep derives one group's single-point sweep: the group's resolved
-// model with the parent's populations. The owner plans it to the identical
-// group key the gateway routed by, so its cache entry is addressable
-// cluster-wide.
-func subSweep(req *modelio.SweepRequest, p modelio.GridPoint) *modelio.SweepRequest {
-	return &modelio.SweepRequest{
-		SolveRequest: *req.PointRequest(p),
-		Populations:  req.Populations,
-	}
-}
-
-// groupRouteKey computes the key the sub-sweep's server will cache its one
-// group under — the routing key must match the serving key or peer export
-// lookups would miss.
-func groupRouteKey(sub *modelio.SweepRequest) (string, error) {
-	pts, err := sub.Expand(1) // a sub-sweep is one grid point
-	if err != nil {
-		return "", err
-	}
-	kb, err := sub.KeyBase()
-	if err != nil {
-		return "", err
-	}
-	return kb.GroupKey(pts[0]), nil
-}
-
-// sweepGroup answers one planned group with the sub-sweep of its point p.
-func (g *Gateway) sweepGroup(ctx context.Context, req *modelio.SweepRequest, p modelio.GridPoint) modelio.SweepPointResult {
-	resp, err := g.sweepViaOwner(ctx, subSweep(req, p))
-	if err == nil && len(resp.Points) != 1 {
-		err = fmt.Errorf("cluster: sub-sweep returned %d points (want 1)", len(resp.Points))
-	}
-	if err != nil {
-		return modelio.SweepPointResult{Error: err.Error()}
-	}
-	return resp.Points[0]
-}
-
-// sweepViaOwner answers one sub-sweep: locally when this node owns the key
-// (or the ring is empty of remotes), otherwise forwarded through the key's
-// candidates with local fallback.
-func (g *Gateway) sweepViaOwner(ctx context.Context, sub *modelio.SweepRequest) (*modelio.SweepResponse, error) {
-	key, err := groupRouteKey(sub)
-	if err != nil {
-		return nil, err
-	}
+// sweepGroup answers one planned group of an entry sweep by its key: locally
+// when this node owns the key (or every remote candidate fails), otherwise
+// as a one-point sub-sweep — the group's resolved model with the parent's
+// populations — forwarded to the key's owner, which keys its one group to
+// the same key.
+func (g *Gateway) sweepGroup(ctx context.Context, req *modelio.SweepRequest, p modelio.GridPoint, key string) modelio.SweepPointResult {
 	candidates := g.members.Ring().Owners(key, g.cfg.Replication)
 	if len(candidates) == 0 || candidates[0] == g.cfg.Self {
-		return g.local.Sweep(ctx, sub)
+		return g.local.SweepGroup(ctx, req, p, key)
 	}
-	body, err := json.Marshal(sub)
+	body, err := json.Marshal(&modelio.SweepRequest{
+		SolveRequest: *req.PointRequest(p),
+		Populations:  req.Populations,
+	})
 	if err != nil {
-		return nil, err
+		return modelio.SweepPointResult{Error: err.Error()}
 	}
 	res, ok := g.forward(ctx, key, "/v1/sweep", body, candidates)
 	if !ok {
 		g.metrics.localFallbacks.Add(1)
-		return g.local.Sweep(ctx, sub)
+		return g.local.SweepGroup(ctx, req, p, key)
 	}
 	if res.status != http.StatusOK {
-		return nil, errors.New(peerErrorMessage(res))
+		return modelio.SweepPointResult{Error: peerErrorMessage(res)}
 	}
 	var resp modelio.SweepResponse
 	if err := json.Unmarshal(res.body, &resp); err != nil {
-		return nil, fmt.Errorf("cluster: decoding peer sweep response: %w", err)
+		return modelio.SweepPointResult{Error: fmt.Sprintf("cluster: decoding peer sweep response: %v", err)}
 	}
-	return &resp, nil
+	if len(resp.Points) != 1 {
+		return modelio.SweepPointResult{Error: fmt.Sprintf("cluster: sub-sweep returned %d points (want 1)", len(resp.Points))}
+	}
+	return resp.Points[0]
 }
 
 // route answers one solve-path request: locally when this node is the key's

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 )
 
@@ -321,40 +320,6 @@ func TestDecimatedExtend(t *testing.T) {
 	}
 	if _, err := res.Prefix(100); err == nil {
 		t.Fatal("dense Prefix of a decimated trajectory should fail")
-	}
-}
-
-// TestDeepSolveBoundedMemory is the deep-solve memory smoke: a decimated
-// solve to population 10⁵ must retain memory proportional to the rows it
-// stores (maxN/stride ≈ 1000), not the populations it advances through. The
-// 4 MiB bound is ~50× the stored-row footprint and ~100× under what a dense
-// 10⁵-row trajectory would retain, so it fails loudly if decimation ever
-// starts accumulating per-population state.
-func TestDeepSolveBoundedMemory(t *testing.T) {
-	const maxN, stride = 100_000, 100
-	m := solverTestModel()
-	s, err := NewExactMVASolver(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Release()
-	if err := s.Decimate(stride); err != nil {
-		t.Fatal(err)
-	}
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if err := s.Run(maxN); err != nil {
-		t.Fatal(err)
-	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	res := s.Result()
-	if res.SolvedN() != maxN || res.Len() != maxN/stride {
-		t.Fatalf("SolvedN=%d Len=%d, want %d/%d", res.SolvedN(), res.Len(), maxN, maxN/stride)
-	}
-	if retained := int64(after.HeapAlloc) - int64(before.HeapAlloc); retained > 4<<20 {
-		t.Fatalf("deep solve retained %d bytes, bound is %d", retained, 4<<20)
 	}
 }
 

@@ -15,8 +15,11 @@
 package journal
 
 import (
+	"fmt"
 	"io"
+	"net/url"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -187,6 +190,37 @@ type Filter struct {
 	// Limit keeps only the newest Limit events (0 keeps all). The result
 	// stays in ascending sequence order — Limit tails the timeline.
 	Limit int
+}
+
+// ParseFilter reads a Filter from the /debug/events query parameters:
+//
+//	type=NAME   one event type (see Types)
+//	since=SEQ   events with sequence number > SEQ
+//	trace=ID    events carrying this trace id
+//	limit=N     the newest N matching events (still ascending)
+//
+// An unknown type, or a since or limit that is not a non-negative integer,
+// is an error.
+func ParseFilter(q url.Values) (Filter, error) {
+	f := Filter{Type: q.Get("type"), TraceID: q.Get("trace")}
+	if f.Type != "" && !KnownType(f.Type) {
+		return Filter{}, fmt.Errorf("unknown event type %q", f.Type)
+	}
+	if v := q.Get("since"); v != "" {
+		since, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			return Filter{}, fmt.Errorf("bad since %q", v)
+		}
+		f.SinceSeq = since
+	}
+	if v := q.Get("limit"); v != "" {
+		limit, err := strconv.Atoi(v)
+		if err != nil || limit < 0 {
+			return Filter{}, fmt.Errorf("bad limit %q", v)
+		}
+		f.Limit = limit
+	}
+	return f, nil
 }
 
 // Events returns the retained events matching f in ascending sequence

@@ -598,19 +598,29 @@ type SweepKeyBase struct {
 }
 
 // KeyBase canonicalizes the sweep's shared key material. Call after
-// Normalize.
+// Normalize. The base model is hashed with its think time and every
+// station's server count zeroed: those are exactly what a grid point
+// resolves, and GroupKey adds the resolved values back. A group's key thus
+// depends only on its resolved model, so the one-point sweep of
+// PointRequest(p) keys to the same GroupKey as p in the sweep it came from.
 func (r *SweepRequest) KeyBase() (*SweepKeyBase, error) {
-	base, err := r.SolveRequest.keySum()
+	base := r.PointRequest(GridPoint{}) // a copy with think time 0
+	for i := range base.Model.Stations {
+		base.Model.Stations[i].Servers = 0
+	}
+	sum, err := base.keySum()
 	if err != nil {
 		return nil, err
 	}
-	return &SweepKeyBase{req: r, base: base}, nil
+	return &SweepKeyBase{req: r, base: sum}, nil
 }
 
-// GroupKey returns the cache key of one planned group's solve. Keys are
-// domain-separated from plain CacheKey hashes: a sweep group and a /v1/solve
-// request for the same resolved model cache independently (the delta-hash
-// construction trades that overlap for never re-serializing the base model).
+// GroupKey returns the cache key of one planned group's solve: the zeroed
+// base hash plus the point's resolved think time and server counts. Keys
+// are domain-separated from plain CacheKey hashes: a sweep group and a
+// /v1/solve request for the same resolved model cache independently (the
+// delta-hash construction trades that overlap for never re-serializing the
+// base model).
 func (k *SweepKeyBase) GroupKey(p GridPoint) string {
 	h := sha256.New()
 	h.Write([]byte("sweep-point\x00"))

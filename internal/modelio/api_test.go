@@ -1,6 +1,7 @@
 package modelio
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -348,6 +349,44 @@ func TestSweepKeyBase(t *testing.T) {
 	}
 	if okb.GroupKey(bare) == kb.GroupKey(bare) {
 		t.Error("different algorithm produced the same group key")
+	}
+
+	// A group's key depends only on its resolved model: the one-point
+	// sweep a cluster gateway sends to the key's owner — PointRequest(p)
+	// with the parent's populations, over the wire — keys its one point to
+	// the parent's GroupKey(p), for every point of the grid, with or
+	// without samples in the key material.
+	mvasd := *r
+	mvasd.Algorithm, mvasd.Samples, mvasd.Decimate = AlgoMVASD, apiTestSamples(), 3
+	for _, parent := range []*SweepRequest{r, &mvasd} {
+		pkb, err := parent.KeyBase()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range points {
+			body, err := json.Marshal(&SweepRequest{SolveRequest: *parent.PointRequest(p), Populations: parent.Populations})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sub SweepRequest
+			if err := json.Unmarshal(body, &sub); err != nil {
+				t.Fatal(err)
+			}
+			if err := sub.Normalize(); err != nil {
+				t.Fatal(err)
+			}
+			subPoints, err := sub.Expand(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			skb, err := sub.KeyBase()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := skb.GroupKey(subPoints[0]), pkb.GroupKey(p); got != want {
+				t.Errorf("%s point %+v: one-point sub-sweep keys to %s, parent group key %s", parent.Algorithm, p, got, want)
+			}
+		}
 	}
 }
 

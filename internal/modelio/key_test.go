@@ -219,8 +219,9 @@ func (k keyRand) perturb(r *SolveRequest) *SolveRequest {
 }
 
 // TestCacheKeyMatchesJSONIdentity: over random request pairs, binary keys
-// (CacheKey, and SweepKeyBase.GroupKey through the same material) are equal
-// exactly when the previous json.Marshal key material is equal.
+// are equal exactly when the previous json.Marshal key material is equal:
+// CacheKey over the request's own material, SweepKeyBase.GroupKey over the
+// material of the grid point's resolved request (PointRequest).
 func TestCacheKeyMatchesJSONIdentity(t *testing.T) {
 	k := keyRand{rand.New(rand.NewSource(1))}
 	point := GridPoint{ThinkTime: 1}
@@ -256,8 +257,16 @@ func TestCacheKeyMatchesJSONIdentity(t *testing.T) {
 			if errA != nil || errB != nil {
 				t.Fatalf("KeyBase: %v / %v", errA, errB)
 			}
-			if (ba.GroupKey(point) == bb.GroupKey(point)) != jsonEqual {
-				t.Fatalf("pair %d: group keys equal=%v, json material equal=%v", i, !jsonEqual, jsonEqual)
+			// A group key identifies the resolved point model, so bases
+			// that differ only in think time or server counts key alike.
+			pa, errA := jsonKeyBytes(sa.PointRequest(point))
+			pb, errB := jsonKeyBytes(sb.PointRequest(point))
+			if errA != nil || errB != nil {
+				t.Fatalf("json point key material: %v / %v", errA, errB)
+			}
+			pointEqual := bytes.Equal(pa, pb)
+			if (ba.GroupKey(point) == bb.GroupKey(point)) != pointEqual {
+				t.Fatalf("pair %d: group keys equal=%v, json point material equal=%v\njson a: %s\njson b: %s", i, !pointEqual, pointEqual, pa, pb)
 			}
 		}
 		if jsonEqual {

@@ -184,37 +184,38 @@ func (s *Server) SolveChunk(ctx context.Context, req *modelio.SolveRequest, from
 }
 
 // Sweep answers one normalized sweep on this node — the engine behind
-// POST /v1/sweep. Each planned group is one cached solve at the sweep's
-// largest population, and its rows are extracted once and shared by every
-// member point.
+// POST /v1/sweep: SweepGroups with every group answered by SweepGroup.
 func (s *Server) Sweep(ctx context.Context, req *modelio.SweepRequest) (*modelio.SweepResponse, error) {
-	// Hash the shared key material (algorithm, interp, samples, base model)
-	// once; per-group keys mix in only the point's resolved signature.
-	keyBase, err := req.KeyBase()
-	if err != nil {
-		return nil, err
-	}
-	return s.SweepGroups(ctx, req, func(ctx context.Context, p modelio.GridPoint) modelio.SweepPointResult {
-		pointReq := req.PointRequest(p)
-		res, _, hit, err := s.solveWithKey(ctx, keyBase.GroupKey(p), pointReq)
-		if err != nil {
-			return modelio.SweepPointResult{Error: err.Error()}
-		}
-		return pointResult(res, pointReq, req.Populations, hit)
+	return s.SweepGroups(ctx, req, func(ctx context.Context, p modelio.GridPoint, key string) modelio.SweepPointResult {
+		return s.SweepGroup(ctx, req, p, key)
 	})
+}
+
+// SweepGroup answers one planned group of req on this node: one cached
+// solve of PointRequest(p) at the sweep's largest population under key (the
+// group's GroupKey), its rows extracted once for every member point.
+func (s *Server) SweepGroup(ctx context.Context, req *modelio.SweepRequest, p modelio.GridPoint, key string) modelio.SweepPointResult {
+	pointReq := req.PointRequest(p)
+	res, _, hit, err := s.solveWithKey(ctx, key, pointReq)
+	if err != nil {
+		return modelio.SweepPointResult{Error: err.Error()}
+	}
+	return pointResult(res, pointReq, req.Populations, hit)
 }
 
 // SweepGroups runs a normalized sweep with solve answering each group: it
 // checks the sweep against the server's caps (MaxN, MaxSweepPoints), expands
 // and plans the grid — points resolving to the same model form one group —
-// and calls solve once per group with the group's representative point,
-// keeping at most Workers groups in flight. Each answer is copied to every
-// member under the member's own grid point, in Expand order. Sweep passes
-// the local cached solve; the cluster gateway passes its owner routing. A
-// request-wide deadline fails the whole sweep: the client asked for the
-// grid, not a fragment of it.
+// hashes the sweep's shared key material once, and calls solve once per
+// group with the group's representative point and its GroupKey, keeping at
+// most Workers groups in flight. A key depends only on the group's resolved
+// model, so every node derives the same key for it. Each answer is copied
+// to every member under the member's own grid point, in Expand order. Sweep
+// passes the local cached solve; the cluster gateway passes its owner
+// routing. A request-wide deadline fails the whole sweep: the client asked
+// for the grid, not a fragment of it.
 func (s *Server) SweepGroups(ctx context.Context, req *modelio.SweepRequest,
-	solve func(ctx context.Context, p modelio.GridPoint) modelio.SweepPointResult) (*modelio.SweepResponse, error) {
+	solve func(ctx context.Context, p modelio.GridPoint, key string) modelio.SweepPointResult) (*modelio.SweepResponse, error) {
 	start := time.Now()
 	if err := s.checkMaxN(req.MaxN, req.Decimate); err != nil {
 		return nil, err
@@ -222,6 +223,10 @@ func (s *Server) SweepGroups(ctx context.Context, req *modelio.SweepRequest,
 	points, err := req.Expand(s.cfg.MaxSweepPoints)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s", ErrLimit, err)
+	}
+	keyBase, err := req.KeyBase()
+	if err != nil {
+		return nil, err
 	}
 	groups := req.PlanSweep(points)
 	results := make([]modelio.SweepPointResult, len(points))
@@ -235,7 +240,8 @@ func (s *Server) SweepGroups(ctx context.Context, req *modelio.SweepRequest,
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1)) - 1; i < len(groups) && ctx.Err() == nil; i = int(next.Add(1)) - 1 {
-				res := solve(ctx, groups[i].Point)
+				p := groups[i].Point
+				res := solve(ctx, p, keyBase.GroupKey(p))
 				for _, m := range groups[i].Members {
 					res.Point = points[m]
 					results[m] = res

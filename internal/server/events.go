@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"strconv"
 	"strings"
 
 	"repro/internal/journal"
@@ -19,39 +18,18 @@ type EventsResponse struct {
 }
 
 // handleEvents serves GET /debug/events: the node's retained journal events
-// in sequence order. Query parameters:
-//
-//	type=NAME   one event type (see journal.Types)
-//	since=SEQ   events with sequence number > SEQ
-//	trace=ID    events carrying this trace id
-//	limit=N     the newest N matching events (still ascending)
+// in sequence order, filtered by the query parameters journal.ParseFilter
+// reads (type, since, trace, limit).
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	jn := s.cfg.Journal
 	if !jn.Enabled() {
 		s.WriteError(w, http.StatusNotFound, "event journal disabled")
 		return
 	}
-	q := r.URL.Query()
-	f := journal.Filter{Type: q.Get("type"), TraceID: q.Get("trace")}
-	if f.Type != "" && !journal.KnownType(f.Type) {
-		s.WriteError(w, http.StatusBadRequest, fmt.Sprintf("unknown event type %q", f.Type))
+	f, err := journal.ParseFilter(r.URL.Query())
+	if err != nil {
+		s.WriteError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	if v := q.Get("since"); v != "" {
-		since, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			s.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad since %q", v))
-			return
-		}
-		f.SinceSeq = since
-	}
-	if v := q.Get("limit"); v != "" {
-		limit, err := strconv.Atoi(v)
-		if err != nil || limit < 0 {
-			s.WriteError(w, http.StatusBadRequest, fmt.Sprintf("bad limit %q", v))
-			return
-		}
-		f.Limit = limit
 	}
 	s.WriteJSON(w, http.StatusOK, EventsResponse{
 		Node:   jn.Node(),

@@ -31,16 +31,23 @@ func dupSweep(t *testing.T) *modelio.SweepRequest {
 }
 
 // TestSweepGroupsAnswersEachGroupOnce drives the sweep engine with a
-// counting group function: each planned group is answered exactly once, no
-// more than Workers groups run at a time, and every member gets its group's
-// answer under its own grid point, in Expand order.
+// counting group function: each planned group is answered exactly once
+// under its GroupKey, no more than Workers groups run at a time, and every
+// member gets its group's answer under its own grid point, in Expand order.
 func TestSweepGroupsAnswersEachGroupOnce(t *testing.T) {
 	s := New(Config{Workers: 2})
 	req := dupSweep(t)
+	kb, err := req.KeyBase()
+	if err != nil {
+		t.Fatal(err)
+	}
 	var mu sync.Mutex
 	calls := map[string]int{}
 	var inFlight, peak atomic.Int32
-	resp, err := s.SweepGroups(context.Background(), req, func(_ context.Context, p modelio.GridPoint) modelio.SweepPointResult {
+	resp, err := s.SweepGroups(context.Background(), req, func(_ context.Context, p modelio.GridPoint, key string) modelio.SweepPointResult {
+		if want := kb.GroupKey(p); key != want {
+			t.Errorf("group %+v answered under key %s, want its GroupKey %s", p, key, want)
+		}
 		n := inFlight.Add(1)
 		defer inFlight.Add(-1)
 		for {
@@ -91,7 +98,7 @@ func TestSweepGroupsDeadlineFailsWholeGrid(t *testing.T) {
 	s := New(Config{Workers: 2})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	resp, err := s.SweepGroups(ctx, dupSweep(t), func(ctx context.Context, p modelio.GridPoint) modelio.SweepPointResult {
+	resp, err := s.SweepGroups(ctx, dupSweep(t), func(ctx context.Context, p modelio.GridPoint, _ string) modelio.SweepPointResult {
 		if p.ThinkTime == 2 {
 			<-ctx.Done()
 		}
