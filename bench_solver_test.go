@@ -408,7 +408,7 @@ func benchPostJSON(b *testing.B, url string, body any) (*http.Response, []byte) 
 // the entry's row text memo. The steady-state allocs/op of the round trip is
 // recorded too, so benchdiff gates the hit path's allocations.
 func BenchmarkSolverPrefixHit(b *testing.B) {
-	srv := server.New(server.Config{})
+	srv := server.New(server.Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	post := func(maxN int) {

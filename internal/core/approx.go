@@ -66,6 +66,10 @@ func SchweitzerMultiServer(m *queueing.Model, maxN int, opts SchweitzerOptions) 
 	res := newResult("schweitzer-multiserver", m, maxN)
 	k := len(m.Stations)
 	demands := m.Demands()
+	perServer := make([]float64, k)
+	for i, stn := range m.Stations {
+		perServer[i] = demands[i] / float64(stn.Servers)
+	}
 	for n := 1; n <= maxN; n++ {
 		// Fixed point at population n with the arrival-theorem
 		// approximation Q(n−1) ≈ (n−1)/n·Q(n) and the closed-form
@@ -83,7 +87,7 @@ func SchweitzerMultiServer(m *queueing.Model, maxN int, opts SchweitzerOptions) 
 			for i := range q {
 				st.queue[i] = float64(n-1) / float64(n) * q[i]
 			}
-			xn, rT := multiServerStep(m, st, demands, n, false, res.Residence[n-1])
+			xn, rT := multiServerStep(m, st, demands, perServer, n, false, res.Residence[n-1])
 			worst := 0.0
 			for i := range q {
 				nq := st.queue[i] // = xn · resid, set by the step

@@ -28,11 +28,16 @@ func stepCancel(ctx context.Context) func(n int) error {
 	return func(n int) error {
 		select {
 		case <-done:
-			return fmt.Errorf("core: solve cancelled at population %d: %w", n, context.Cause(ctx))
+			return cancelled(ctx, n)
 		default:
 			return nil
 		}
 	}
+}
+
+// cancelled is the error of a solve whose ctx ended at population n.
+func cancelled(ctx context.Context, n int) error {
+	return fmt.Errorf("core: solve cancelled at population %d: %w", n, context.Cause(ctx))
 }
 
 // ExactMVAMultiServerWithContext is ExactMVAMultiServer with

@@ -237,6 +237,77 @@ func TestDecimatedCancelKeepsFilledFrontier(t *testing.T) {
 	}
 }
 
+// TestDecimatedUnalignedFrontiers pins which populations a decimated run
+// keeps when it starts from a frontier that is not a stride multiple: a
+// solver extended from one (Run(1234), then Extend(2000)) and one resumed at
+// one both keep every stride multiple after the frontier and each run's
+// target, and each kept row equals the same population of one cold dense
+// run, bit for bit.
+func TestDecimatedUnalignedFrontiers(t *testing.T) {
+	m := solverTestModel()
+	const stride, cut, maxN = 50, 1234, 2000
+	multiples := func(from, to int) []int {
+		var ns []int
+		for n := (from/stride + 1) * stride; n <= to; n += stride {
+			ns = append(ns, n)
+		}
+		return ns
+	}
+	for name, alg := range solverAlgorithms(t, m) {
+		t.Run(name, func(t *testing.T) {
+			dense := alg.cold(maxN)
+			check := func(what string, r *Result, want []int) {
+				t.Helper()
+				if fmt.Sprint(r.N) != fmt.Sprint(want) {
+					t.Fatalf("%s: kept populations %v, want %v", what, r.N, want)
+				}
+				for i, n := range r.N {
+					rowsEqual(t, r, i, dense, n-1)
+					if cp := r.CheckpointAt(i); cp == nil || cp.N != n {
+						t.Fatalf("%s: row %d's checkpoint %+v, want one at %d", what, i, cp, n)
+					}
+				}
+			}
+
+			ext := alg.fresh()
+			defer ext.Release()
+			if err := ext.Decimate(stride); err != nil {
+				t.Fatal(err)
+			}
+			if err := ext.Run(cut); err != nil {
+				t.Fatal(err)
+			}
+			if err := ext.Extend(maxN); err != nil {
+				t.Fatal(err)
+			}
+			want := append(append(multiples(0, cut), cut), multiples(cut, maxN)...)
+			check("Run then Extend", ext.Result(), want)
+
+			src := alg.fresh()
+			defer src.Release()
+			if err := src.Run(cut); err != nil {
+				t.Fatal(err)
+			}
+			cp, err := src.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := alg.fresh()
+			defer res.Release()
+			if err := res.ResumeFrom(cp); err != nil {
+				t.Fatal(err)
+			}
+			if err := res.Decimate(stride); err != nil {
+				t.Fatal(err)
+			}
+			if err := res.Run(maxN); err != nil {
+				t.Fatal(err)
+			}
+			check("ResumeFrom", res.Result(), multiples(cut, maxN))
+		})
+	}
+}
+
 // rowsEqual fails unless row i of a and row j of b are bit-identical.
 func rowsEqual(t *testing.T, a *Result, i int, b *Result, j int) {
 	t.Helper()

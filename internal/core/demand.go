@@ -54,6 +54,34 @@ type DemandSamples struct {
 // the boundaries (eq. 14).
 type CurveDemands struct {
 	curves []*interp.Curve
+	// steady is the first population from which DemandAt(k, n, ·) equals
+	// DemandAt(k, steady, ·) bit for bit for every station and every
+	// larger n, because n is past every curve's pegged last sample; 0 when
+	// some curve is not pegged. MVASD evaluates the demands there once and
+	// reuses them.
+	steady int
+}
+
+// maxSteadyKnot bounds the last knot a steady population is computed from,
+// so floor(hi)+1 always fits an int; a solve never reaches a population
+// that large.
+const maxSteadyKnot = 1 << 52
+
+// steadyPopulation returns the largest floor(hi)+1 over the curves' last
+// knots hi (at least 1), the first population past every sample, when
+// every curve is pegged above its last knot; 0 when any is not.
+func steadyPopulation(curves []*interp.Curve) int {
+	steady := 1
+	for _, c := range curves {
+		hi, ok := c.PeggedAbove()
+		if !ok || !(hi < maxSteadyKnot) {
+			return 0
+		}
+		if hi >= 0 {
+			steady = max(steady, int(hi)+1) // int truncates: floor for hi ≥ 0
+		}
+	}
+	return steady
 }
 
 // NewCurveDemands fits one interpolation curve per station. Method selects
@@ -75,6 +103,7 @@ func NewCurveDemands(method interp.Method, samples []DemandSamples, opts interp.
 		}
 		cd.curves[k] = c
 	}
+	cd.steady = steadyPopulation(cd.curves)
 	return cd, nil
 }
 

@@ -21,15 +21,21 @@ import (
 // per-station memo keeps the last memoWays results keyed by the bits of u
 // and a step recomputes them only for a utilization the station has not seen
 // in its last memoWays misses; the memo never goes stale across copyFrom,
-// restore or a checkpoint. u[k] is the key of the result p[k] already holds
-// (noKey when p[k] came from anywhere else): a step whose utilization is
-// bit-for-bit unchanged — common past the knee, where X settles — reads
-// nothing from the memo at all.
+// restore or a checkpoint.
+//
+// A step reads only F_k, so a memoised P_k stays in its way: station k's
+// P_k is the memo way stn[k].cur when cur ≥ 0, else p[k]. materialize
+// copies every such way into p and sets cur to −1; whatever reads p calls
+// it first (checkpoint, copyFrom, the verbatim history, the marginal
+// trace). u[k] is the key of the closed-form P_k the station holds, in
+// either place (noKey when p[k] came from anywhere else, and then cur is
+// −1): a step whose utilization is bit-for-bit unchanged — common past the
+// knee, where X settles — touches neither the memo nor p.
 type multiServerState struct {
 	queue []float64   // Q_k
-	p     [][]float64 // p[k][j-1] = p_k(j), length C_k
-	f     []float64   // F_k = Σ_{m=0..C−1}(C−1−m)·P_k(m), kept in step with p
-	u     []float64   // memo key behind the closed-form p[k], or noKey
+	p     [][]float64 // p[k][j-1] = p_k(j), length C_k, unless stn[k].cur ≥ 0
+	f     []float64   // F_k = Σ_{m=0..C−1}(C−1−m)·P_k(m), kept in step with P_k
+	u     []float64   // memo key behind the closed-form P_k, or noKey
 
 	stn     []msStation
 	memoBuf []float64 // pooled backing of every station's memo ways
@@ -48,9 +54,13 @@ type msStation struct {
 	// ps[w·C:(w+1)·C], a window of memoBuf (nil for delay and
 	// single-server stations). Unused ways hold the saturated result under
 	// the key +Inf, which is exactly what the closed form gives for it.
+	// cur is the way holding the station's current P_k, or −1 when the
+	// state's p[k] holds it; only this station's own update evicts a way,
+	// and it moves cur in the same call.
 	keys, fs [memoWays]float64
 	ps       []float64
 	next     int
+	cur      int
 }
 
 // noKey marks p[k] as not a closed-form result. Every u ≥ C_k is keyed as
@@ -80,7 +90,7 @@ func newMultiServerState(m *queueing.Model) *multiServerState {
 	for i, st := range m.Stations {
 		s.p[i] = getVec(st.Servers)
 		s.p[i][0] = 1 // empty network: P(0 customers) = 1
-		s.stn[i] = msStation{servers: st.Servers, c: float64(st.Servers), delay: st.Kind == queueing.Delay}
+		s.stn[i] = msStation{servers: st.Servers, c: float64(st.Servers), delay: st.Kind == queueing.Delay, cur: -1}
 		if s.stn[i].carried() {
 			size += memoWays * st.Servers
 		}
@@ -129,21 +139,45 @@ func (s *multiServerState) refreshF(k int) {
 // The memo itself stays valid: its entries depend on u alone.
 func (s *multiServerState) resetDerived() {
 	for k := range s.p {
+		s.stn[k].cur = -1
 		s.refreshF(k)
 		s.u[k] = noKey
+	}
+}
+
+// materialize copies every memoised P_k into p, so p holds every station's
+// marginals until the next step.
+func (s *multiServerState) materialize() {
+	for k := range s.stn {
+		sk := &s.stn[k]
+		if w := sk.cur; w >= 0 {
+			copy(s.p[k], sk.ps[w*sk.servers:(w+1)*sk.servers])
+			sk.cur = -1
+		}
+	}
+}
+
+// perServer sets out[k] = D_k/C_k, the factor of station k's residence
+// time in eq. 10.
+func (s *multiServerState) perServer(demands, out []float64) {
+	for k := range s.stn {
+		out[k] = demands[k] / s.stn[k].c
 	}
 }
 
 // copyFrom overwrites s with src's values. Both must come from the same
 // model (needed by the fixed-point demand-vs-throughput mode, which re-runs
 // a step from the same pre-step state without allocating a clone). Each
-// state keeps its own memo: every entry of either is valid for both.
+// state keeps its own memo: every entry of either is valid for both, but
+// src's P_k is copied out of its way so that s holds it in p.
 func (s *multiServerState) copyFrom(src *multiServerState) {
+	src.materialize()
 	copy(s.queue, src.queue)
 	copy(s.f, src.f)
 	copy(s.u, src.u)
 	for k := range s.p {
 		copy(s.p[k], src.p[k])
+		s.stn[k].cur = -1
 	}
 }
 
@@ -185,6 +219,7 @@ func (s *multiServerState) history(buf []float64, verbatim bool) []float64 {
 	if !verbatim {
 		return buf
 	}
+	s.materialize()
 	for k := range s.stn {
 		if s.stn[k].carried() {
 			buf = append(buf, s.p[k]...)
@@ -196,7 +231,7 @@ func (s *multiServerState) history(buf []float64, verbatim bool) []float64 {
 // marginalRows is the recursion state of Algorithms 2 and 3 at a stored row:
 // the row's queue lengths, its throughput when withX, and the marginals. A
 // carried station's marginals are the closed form at the row's u = X·D_k —
-// closedForm gives the bits closedFormAt's memo holds — or, verbatim, the
+// closedForm gives the bits the step's memo holds — or, verbatim, the
 // stored history; every other station's are [1, 0, …].
 type marginalRows struct {
 	servers         []int  // C_k, the width of station k's marginal row
@@ -231,37 +266,21 @@ func (ms marginalRows) rebuild(cp *Checkpoint, r *Result, i int, hist []float64)
 	}
 }
 
-// closedFormAt brings p[k] and f[k] to the closed form of multi-server
-// station k at utilization u: nothing to do when p[k] already holds it,
-// else a copy out of the station's memo or, on a miss, one evaluation.
-func (s *multiServerState) closedFormAt(k int, u float64) {
-	sk := &s.stn[k]
-	if u >= sk.c {
-		u = math.Inf(1) // every saturated u has one result, so one key
-	}
-	if math.Float64bits(u) == math.Float64bits(s.u[k]) {
-		return
-	}
-	s.u[k] = u
-	s.f[k] = sk.update(u, s.p[k])
-}
-
-// update sets p to the closed-form P_k of the station at utilization u and
-// returns F_k, copying both from a way keyed by u's bits when there is one,
-// so a signed zero or NaN never reuses a result computed from another value.
-func (sk *msStation) update(u float64, p []float64) float64 {
-	c := len(p)
+// update makes the closed-form P_k of the station at utilization u current
+// and returns F_k: a way keyed by u's bits when there is one, so a signed
+// zero or NaN never reuses a result computed from another value, else the
+// way it evicts, evaluated in place. Either way P_k stays in the way (cur).
+func (sk *msStation) update(u float64) float64 {
 	bits := math.Float64bits(u)
 	for w, key := range sk.keys {
 		if math.Float64bits(key) == bits {
-			copy(p, sk.ps[w*c:(w+1)*c])
+			sk.cur = w
 			return sk.fs[w]
 		}
 	}
-	f := closedForm(u, sk.c, p)
-	w := sk.next
-	sk.keys[w], sk.fs[w] = u, f
-	copy(sk.ps[w*c:(w+1)*c], p)
+	w, c := sk.next, sk.servers
+	f := closedForm(u, sk.c, sk.ps[w*c:(w+1)*c])
+	sk.keys[w], sk.fs[w], sk.cur = u, f, w
 	sk.next = (w + 1) % memoWays
 	return f
 }
@@ -334,13 +353,15 @@ type MultiServerOptions struct {
 // multiServerStep performs one population step of the multi-server exact MVA
 // (the body of Algorithm 2) using the supplied per-station demands. It
 // mutates st and returns the step's throughput, response time and
-// per-station residence times. demands[k] is D_k = V_k·S_k for this step.
-// st.p[k][m] holds P_k(m | n−1), the marginal probability of m customers at
+// per-station residence times. demands[k] is D_k = V_k·S_k for this step
+// and perServer[k] is D_k/C_k (st.perServer), which the caller computes
+// once per demand vector. On entry station k's marginals (see
+// multiServerState) are P_k(m | n−1), the probability of m customers at
 // station k.
-func multiServerStep(m *queueing.Model, st *multiServerState, demands []float64, n int, verbatim bool, resid []float64) (x, rTotal float64) {
-	queue, stn, fk := st.queue, st.stn, st.f
+func multiServerStep(m *queueing.Model, st *multiServerState, demands, perServer []float64, n int, verbatim bool, resid []float64) (x, rTotal float64) {
+	queue, stn, fk, keys := st.queue, st.stn, st.f, st.u
 	kk := len(queue)
-	if len(stn) < kk || len(fk) < kk || len(resid) < kk || len(demands) < kk {
+	if len(stn) < kk || len(fk) < kk || len(keys) < kk || len(resid) < kk || len(demands) < kk || len(perServer) < kk {
 		return 0, 0 // construction guarantees matching shapes; keep BCE honest
 	}
 	for k := 0; k < kk; k++ {
@@ -352,7 +373,7 @@ func multiServerStep(m *queueing.Model, st *multiServerState, demands []float64,
 		// R_k = (D_k/C_k)(1 + Q_k + F_k)   (paper eq. 10 in demand form),
 		// with the correction factor F_k = Σ_{j=1..C}(C−j)·p_k(j) in paper
 		// indexing carried in st.f.
-		resid[k] = demands[k] / stn[k].c * (1 + queue[k] + fk[k])
+		resid[k] = perServer[k] * (1 + queue[k] + fk[k])
 		rTotal += resid[k]
 	}
 	x = float64(n) / (rTotal + m.ThinkTime)
@@ -366,10 +387,10 @@ func multiServerStep(m *queueing.Model, st *multiServerState, demands []float64,
 		}
 		c := sk.c
 		u := x * demands[k] // total utilization X·D_k (0..C_k scale)
-		p := st.p[k]
 		if verbatim {
 			// As printed: unweighted P(0) update first, then cascade the
 			// tail from the freshly updated predecessors.
+			p := st.p[k]
 			sum := 0.0
 			for mIdx := 1; mIdx < sk.servers; mIdx++ {
 				sum += p[mIdx]
@@ -381,7 +402,15 @@ func multiServerStep(m *queueing.Model, st *multiServerState, demands []float64,
 			st.refreshF(k)
 			continue
 		}
-		st.closedFormAt(k, u)
+		// The closed form at u: nothing to do when the station already
+		// holds it, else a memo lookup or, on a miss, one evaluation.
+		if u >= c {
+			u = math.Inf(1) // every saturated u has one result, so one key
+		}
+		if math.Float64bits(u) != math.Float64bits(keys[k]) {
+			keys[k] = u
+			fk[k] = sk.update(u)
+		}
 	}
 	return x, rTotal
 }
@@ -398,18 +427,20 @@ type MarginalTrace struct {
 // multiServerStepper is the resumable form of Algorithm 2: constant demands,
 // multiServerState carried across populations.
 type multiServerStepper struct {
-	m        *queueing.Model
-	st       *multiServerState
-	demands  []float64
-	verbatim bool
-	traceAt  int
-	trace    *MarginalTrace
+	m         *queueing.Model
+	st        *multiServerState
+	demands   []float64
+	perServer []float64 // D_k/C_k of the constant demands
+	verbatim  bool
+	traceAt   int
+	trace     *MarginalTrace
 }
 
 func (s *multiServerStepper) step(res *Result, n, row int, _ func(int) error, _ *SolveHooks) error {
-	x, rTotal := multiServerStep(s.m, s.st, s.demands, n, s.verbatim, res.Residence[row])
+	x, rTotal := multiServerStep(s.m, s.st, s.demands, s.perServer, n, s.verbatim, res.Residence[row])
 	setRowTotals(res, s.m, row, x, rTotal)
 	if s.trace != nil {
+		s.st.materialize()
 		s.trace.P = append(s.trace.P, append([]float64(nil), s.st.p[s.traceAt]...))
 	}
 	return nil
@@ -421,11 +452,12 @@ func (s *multiServerStepper) fill(res *Result, row int) {
 
 func (s *multiServerStepper) release() {
 	s.st.release()
-	putVec(s.demands)
-	s.demands = nil
+	putVec(s.demands) // and perServer, its pair
+	s.demands, s.perServer = nil, nil
 }
 
 func (s *multiServerStepper) checkpoint(cp *Checkpoint) {
+	s.st.materialize()
 	cp.Queue = append([]float64(nil), s.st.queue...)
 	cp.Marginal = cloneVecs(s.st.p)
 }
@@ -450,17 +482,19 @@ func NewMultiServerSolver(m *queueing.Model, opts MultiServerOptions) (*Solver, 
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	demands := getVec(len(m.Stations))
+	demands, perServer := getVecPair(len(m.Stations))
 	for i, st := range m.Stations {
 		demands[i] = st.Demand()
 	}
 	alg := &multiServerStepper{
-		m:        m,
-		st:       newMultiServerState(m),
-		demands:  demands,
-		verbatim: opts.Verbatim,
-		traceAt:  opts.TraceStation,
+		m:         m,
+		st:        newMultiServerState(m),
+		demands:   demands,
+		perServer: perServer,
+		verbatim:  opts.Verbatim,
+		traceAt:   opts.TraceStation,
 	}
+	alg.st.perServer(demands, perServer)
 	if opts.TraceStation >= 0 && opts.TraceStation < len(m.Stations) {
 		alg.trace = &MarginalTrace{
 			Station: m.Stations[opts.TraceStation].Name,

@@ -51,23 +51,41 @@ func validateDemandModel(m *queueing.Model, dm DemandModel) error {
 // step runs its fixed point on the trial state double-buffer, so the
 // committed state is only advanced by a converged step — a failed or
 // cancelled step leaves the prefix resumable.
+//
+// Past the last sample the paper's demand curves are pegged (eq. 14): from
+// population steady on (CurveDemands.steady; 0 when never) a step reuses the
+// demands it evaluated last instead of calling the demand model, and the
+// step is Algorithm 2's.
 type mvasdStepper struct {
-	m     *queueing.Model
-	dm    DemandModel
-	opts  MVASDOptions
-	st    *multiServerState
-	trial *multiServerState // fixed-point scratch, reused every iteration
-	dems  []float64
-	x     float64 // previous step's throughput: warm start for the fixed point
+	m      *queueing.Model
+	dm     DemandModel
+	opts   MVASDOptions
+	st     *multiServerState
+	trial  *multiServerState // fixed-point scratch, reused every iteration
+	dems   []float64
+	per    []float64 // dems[k]/C_k, computed with dems
+	x      float64   // previous step's throughput: warm start for the fixed point
+	steady int
+	pegged bool // dems hold the steady demands
+}
+
+// demandsAt evaluates every station's demand at population n and
+// throughput x, and its per-server share.
+func (s *mvasdStepper) demandsAt(n int, x float64) {
+	for k := range s.dems {
+		s.dems[k] = s.dm.DemandAt(k, n, x)
+	}
+	s.st.perServer(s.dems, s.per)
 }
 
 func (s *mvasdStepper) step(res *Result, n, row int, stop func(int) error, hooks *SolveHooks) error {
-	m, dm, demands := s.m, s.dm, s.dems
-	if !dm.DependsOnThroughput() {
-		for k := range demands {
-			demands[k] = dm.DemandAt(k, n, 0)
+	m, demands := s.m, s.dems
+	if s.trial == nil { // demands depend on n alone
+		if !s.pegged {
+			s.demandsAt(n, 0)
+			s.pegged = s.steady > 0 && n >= s.steady
 		}
-		xn, rTotal := multiServerStep(m, s.st, demands, n, s.opts.Verbatim, res.Residence[row])
+		xn, rTotal := multiServerStep(m, s.st, demands, s.per, n, s.opts.Verbatim, res.Residence[row])
 		setRowTotals(res, m, row, xn, rTotal)
 		s.x = xn
 		return nil
@@ -76,9 +94,7 @@ func (s *mvasdStepper) step(res *Result, n, row int, stop func(int) error, hooks
 	guess := s.x
 	if guess <= 0 {
 		// Cold start: optimistic zero-queue estimate at n=1 demands.
-		for k := range demands {
-			demands[k] = dm.DemandAt(k, n, 0)
-		}
+		s.demandsAt(n, 0)
 		sum := 0.0
 		for _, d := range demands {
 			sum += d
@@ -92,11 +108,9 @@ func (s *mvasdStepper) step(res *Result, n, row int, stop func(int) error, hooks
 				return err
 			}
 		}
-		for k := range demands {
-			demands[k] = dm.DemandAt(k, n, guess)
-		}
+		s.demandsAt(n, guess)
 		s.trial.copyFrom(s.st)
-		xn, rTotal := multiServerStep(m, s.trial, demands, n, s.opts.Verbatim, res.Residence[row])
+		xn, rTotal := multiServerStep(m, s.trial, demands, s.per, n, s.opts.Verbatim, res.Residence[row])
 		resid = math.Abs(xn-guess) / math.Max(guess, 1e-12)
 		if math.Abs(xn-guess) <= s.opts.FixedPointTol*math.Max(guess, 1e-12) {
 			s.st, s.trial = s.trial, s.st
@@ -122,11 +136,12 @@ func (s *mvasdStepper) release() {
 	if s.trial != nil {
 		s.trial.release()
 	}
-	putVec(s.dems)
-	s.dems = nil
+	putVec(s.dems) // and per, its pair
+	s.dems, s.per = nil, nil
 }
 
 func (s *mvasdStepper) checkpoint(cp *Checkpoint) {
+	s.st.materialize()
 	cp.Queue = append([]float64(nil), s.st.queue...)
 	cp.Marginal = cloneVecs(s.st.p)
 	cp.X = s.x
@@ -136,7 +151,7 @@ func (s *mvasdStepper) restore(cp *Checkpoint) error {
 	if err := s.st.restore(cp); err != nil {
 		return err
 	}
-	s.x = cp.X
+	s.x, s.pegged = cp.X, false
 	return nil
 }
 
@@ -157,17 +172,21 @@ func NewMVASDSolver(m *queueing.Model, dm DemandModel, opts MVASDOptions) (*Solv
 		return nil, err
 	}
 	opts.defaults()
+	dems, per := getVecPair(len(m.Stations))
 	alg := &mvasdStepper{
 		m:    m,
 		dm:   dm,
 		opts: opts,
 		st:   newMultiServerState(m),
-		dems: getVec(len(m.Stations)),
+		dems: dems,
+		per:  per,
 	}
 	name := "mvasd"
 	if dm.DependsOnThroughput() {
 		name = "mvasd-vs-throughput"
 		alg.trial = newMultiServerState(m)
+	} else if cd, ok := dm.(*CurveDemands); ok {
+		alg.steady = cd.steady
 	}
 	return newSolver(name, newEmptyResult(name, m, 0), alg), nil
 }

@@ -232,19 +232,23 @@ func (r *Result) appendRow() {
 // are always beyond every published prefix, so overwriting them never
 // mutates a snapshot.
 func (r *Result) stageRow(n int) int {
-	if r.staged {
-		i := len(r.N) - 1
-		r.nBuf[i] = n
-		return i
+	if !r.staged {
+		r.stageNewRow()
 	}
+	i := len(r.N) - 1
+	r.N[i] = n
+	return i
+}
+
+// stageNewRow exposes and stages one more row: stageRow's slow path, kept
+// apart so that stageRow inlines into the run loop.
+func (r *Result) stageNewRow() {
 	rows := len(r.N)
 	if rows == r.capRows {
 		r.reserve(rows + 1)
 	}
-	r.nBuf[rows] = n
 	r.reslice(rows + 1)
 	r.staged = true
-	return rows
 }
 
 // commitStaged makes the currently staged row permanent.

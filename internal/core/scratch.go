@@ -21,6 +21,13 @@ func getVec(n int) []float64 { return getFrom(&vecPool, n) }
 // not use v afterwards.
 func putVec(v []float64) { putTo(&vecPool, v) }
 
+// getVecPair returns two zeroed length-n vectors that share one pooled
+// backing; putVec(a) returns both.
+func getVecPair(n int) (a, b []float64) {
+	v := getVec(2 * n)
+	return v[:n], v[n:]
+}
+
 // getMemoVec and putMemoVec are getVec and putVec for memo backings.
 func getMemoVec(n int) []float64 { return getFrom(&memoPool, n) }
 func putMemoVec(v []float64)     { putTo(&memoPool, v) }

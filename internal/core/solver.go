@@ -224,22 +224,30 @@ func (s *Solver) RunContext(ctx context.Context, maxN int) error {
 	if maxN <= res.SolvedN() {
 		return nil
 	}
+	// The loop probes done itself; stop is the same probe for the
+	// steppers' inner loops.
 	stop := stepCancel(ctx)
-	res.reserve(res.rowsForPop(maxN))
-	stride := res.stride
-	if stride < 1 {
-		stride = 1
+	var done <-chan struct{}
+	if stop != nil {
+		done = ctx.Done()
 	}
+	res.reserve(res.rowsForPop(maxN))
+	stride := max(res.stride, 1)
+	// next is the next population the trajectory keeps: every stride-th
+	// one, and maxN.
+	next := min((res.solvedN/stride+1)*stride, maxN)
 	for n := res.solvedN + 1; n <= maxN; n++ {
-		if stop != nil {
-			if err := stop(n); err != nil {
+		if done != nil {
+			select {
+			case <-done:
 				if res.staged {
 					// The staged row holds the frontier n-1, which no later
 					// step has touched yet: keep it as this run's final row,
 					// so the trajectory never exposes an unfilled row.
 					s.keep(len(res.N)-1, stride)
 				}
-				return err
+				return cancelled(ctx, n)
+			default:
 			}
 		}
 		i := res.stageRow(n)
@@ -248,8 +256,9 @@ func (s *Solver) RunContext(ctx context.Context, maxN int) error {
 			return err
 		}
 		res.solvedN = n
-		if stride == 1 || n%stride == 0 || n == maxN {
+		if n == next {
 			s.keep(i, stride)
+			next = min(next+stride, maxN)
 		}
 		if s.hooks != nil && s.hooks.OnStep != nil {
 			s.hooks.OnStep(n, res.xBuf[i])

@@ -183,6 +183,21 @@ func (c *Curve) Domain() (float64, float64) {
 	return c.X[0], c.X[len(c.X)-1]
 }
 
+// PeggedAbove reports whether Eval returns one value for every x above the
+// last sample hi, the paper's eq.-14 pegging: true for a single-sample
+// curve, a polynomial (its adapter clamps) and a spline with
+// spline.ExtrapConstant; false for any other extrapolation rule.
+func (c *Curve) PeggedAbove() (hi float64, ok bool) {
+	hi = c.X[len(c.X)-1]
+	switch ip := c.interp.(type) {
+	case nil, *polyAdapter:
+		return hi, true
+	case *spline.Cubic:
+		return hi, ip.Extrapolation() == spline.ExtrapConstant
+	}
+	return hi, false
+}
+
 // Len returns the number of samples.
 func (c *Curve) Len() int { return len(c.X) }
 

@@ -168,3 +168,40 @@ func TestMethodsListMatchesConstructor(t *testing.T) {
 		}
 	}
 }
+
+// TestPeggedAbove pins which curves report a constant value above their
+// last sample: every method under the default eq.-14 extrapolation, a
+// polynomial under any option (its adapter clamps), a single-sample curve,
+// and no spline under linear or natural extrapolation. Where it reports
+// true, Eval above the last sample must indeed return one value.
+func TestPeggedAbove(t *testing.T) {
+	last := sampleXs[len(sampleXs)-1]
+	for _, e := range []spline.Extrapolation{spline.ExtrapConstant, spline.ExtrapLinear, spline.ExtrapNatural} {
+		for _, m := range Methods() {
+			c, err := NewCurve(m, sampleXs, sampleYs, Options{Extrapolation: e, Lambda: 0.1})
+			if err != nil {
+				t.Fatalf("%s: %v", m, err)
+			}
+			hi, ok := c.PeggedAbove()
+			want := e == spline.ExtrapConstant || m == Polynomial
+			if hi != last || ok != want {
+				t.Errorf("%s/%v: PeggedAbove = (%g, %v), want (%g, %v)", m, e, hi, ok, last, want)
+			}
+			if ok {
+				v := c.Eval(math.Nextafter(last, math.Inf(1)))
+				for _, x := range []float64{last + 1, 10 * last, 1e300} {
+					if got := c.Eval(x); math.Float64bits(got) != math.Float64bits(v) {
+						t.Errorf("%s/%v: Eval(%g) = %v, Eval just above the last sample = %v", m, e, x, got, v)
+					}
+				}
+			}
+		}
+	}
+	c, err := NewCurve(CubicNatural, []float64{12.5}, []float64{0.3}, Options{Extrapolation: spline.ExtrapLinear})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hi, ok := c.PeggedAbove(); hi != 12.5 || !ok {
+		t.Errorf("single-sample curve: PeggedAbove = (%g, %v), want (12.5, true)", hi, ok)
+	}
+}

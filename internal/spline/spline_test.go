@@ -340,6 +340,7 @@ func TestEvalMatchesEvalAllBits(t *testing.T) {
 		"smoothing": func() (*Cubic, error) { return NewSmoothing(xs, ys, 10) },
 		"linear":    func() (*Cubic, error) { return NewLinear(xs, ys) },
 		"twopoint":  func() (*Cubic, error) { return NewNatural(xs[:2], ys[:2]) },
+		"parabola":  func() (*Cubic, error) { return NewNotAKnot(xs[:3], ys[:3]) },
 	}
 	for name, build := range builders {
 		s, err := build()
