@@ -421,7 +421,7 @@ func warmSelfModels(servers []*server.Server) (int, error) {
 				Elapsed:         time.Second,
 				Completions:     x,
 				BusySeconds:     x * truthDW,
-				StationSeconds:  x * res.Residence[n-1][0],
+				StationSeconds:  x * res.ResidenceRow(n - 1)[0],
 				InFlightSeconds: float64(n),
 				Latencies:       lat,
 			}

@@ -52,7 +52,7 @@ func readyMonitor(t *testing.T) *selfmodel.Monitor {
 			Elapsed:         time.Second,
 			Completions:     x,
 			BusySeconds:     x * truthDW,
-			StationSeconds:  x * res.Residence[n-1][0],
+			StationSeconds:  x * res.ResidenceRow(n - 1)[0],
 			InFlightSeconds: float64(n),
 			Latencies:       lat,
 		}

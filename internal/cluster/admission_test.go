@@ -57,7 +57,7 @@ func makeNodeReady(t *testing.T, srv *server.Server) int {
 			Elapsed:         time.Second,
 			Completions:     x,
 			BusySeconds:     x * clusterTruthDW,
-			StationSeconds:  x * res.Residence[n-1][0],
+			StationSeconds:  x * res.ResidenceRow(n - 1)[0],
 			InFlightSeconds: float64(n),
 			Latencies:       lat,
 		}

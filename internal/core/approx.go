@@ -63,19 +63,26 @@ func SchweitzerMultiServer(m *queueing.Model, maxN int, opts SchweitzerOptions) 
 		return nil, err
 	}
 	opts.defaults()
-	res := newResult("schweitzer-multiserver", m, maxN)
 	k := len(m.Stations)
 	demands := m.Demands()
+	res := newEmptyResult("schweitzer-multiserver", m, demands)
+	res.reserve(maxN)
 	perServer := make([]float64, k)
 	for i, stn := range m.Stations {
 		perServer[i] = demands[i] / float64(stn.Servers)
 	}
+	// One state serves every population: each starts from the empty
+	// network, and the closed-form memo carries over, since its entries
+	// depend on the utilization alone.
+	st := newMultiServerState(m)
+	defer st.release()
+	q := make([]float64, k)
 	for n := 1; n <= maxN; n++ {
 		// Fixed point at population n with the arrival-theorem
 		// approximation Q(n−1) ≈ (n−1)/n·Q(n) and the closed-form
 		// multi-server marginal probabilities of multiServerStep.
-		st := newMultiServerState(m)
-		q := make([]float64, k)
+		st.reset()
+		res.appendRow()
 		for i := range q {
 			q[i] = float64(n) / float64(k)
 		}
@@ -87,7 +94,7 @@ func SchweitzerMultiServer(m *queueing.Model, maxN int, opts SchweitzerOptions) 
 			for i := range q {
 				st.queue[i] = float64(n-1) / float64(n) * q[i]
 			}
-			xn, rT := multiServerStep(m, st, demands, perServer, n, false, res.Residence[n-1])
+			xn, rT := multiServerStep(m, st, demands, perServer, n, false, res.ResidenceRow(n-1))
 			worst := 0.0
 			for i := range q {
 				nq := st.queue[i] // = xn · resid, set by the step
@@ -106,18 +113,19 @@ func SchweitzerMultiServer(m *queueing.Model, maxN int, opts SchweitzerOptions) 
 		if !converged {
 			return nil, fmt.Errorf("%w: schweitzer-multiserver did not converge at n=%d", ErrBadRun, n)
 		}
-		for i, stn := range m.Stations {
-			res.QueueLen[n-1][i] = q[i]
+		i := n - 1
+		qRow, uRow := res.QueueLenRow(i), res.Util[i]
+		for j, stn := range m.Stations {
+			qRow[j] = q[j]
 			if stn.Kind == queueing.Delay {
-				res.Util[n-1][i] = 0
+				uRow[j] = 0
 			} else {
-				res.Util[n-1][i] = minf(x*demands[i]/float64(stn.Servers), 1)
+				uRow[j] = minf(x*demands[j]/float64(stn.Servers), 1)
 			}
-			res.Demands[n-1][i] = demands[i]
 		}
-		res.X[n-1] = x
-		res.R[n-1] = rTotal
-		res.Cycle[n-1] = rTotal + m.ThinkTime
+		res.X[i] = x
+		res.R[i] = rTotal
+		res.Cycle[i] = rTotal + m.ThinkTime
 	}
 	return res, nil
 }

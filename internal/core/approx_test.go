@@ -1,7 +1,10 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/queueing"
@@ -146,6 +149,32 @@ func TestSchweitzerMultiServerSingleServerReduction(t *testing.T) {
 	for i := range ms.X {
 		if math.Abs(ms.X[i]-plain.X[i]) > 1e-6*plain.X[i] {
 			t.Fatalf("n=%d: %g vs %g", ms.N[i], ms.X[i], plain.X[i])
+		}
+	}
+}
+
+// schweitzerMultiServerDigests pins the float bits SchweitzerMultiServer
+// produced while it built a fresh multi-server state for every population,
+// so reusing one state (and its closed-form memo) across populations is
+// checked to change no float.
+var schweitzerMultiServerDigests = map[string]string{
+	"golden":           "b6f24f13445f0b9118c268fab349c1da7550ebef976dffc7e45e713019ef033a",
+	"golden-saturated": "25a428f5d2d188d95ccd19de3e550ed7347763037d75867212449db12e14df43",
+}
+
+func TestSchweitzerMultiServerGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden digests are recorded on amd64")
+	}
+	for _, m := range []*queueing.Model{goldenModel(), goldenSaturatedModel()} {
+		res, err := SchweitzerMultiServer(m, 600, SchweitzerOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		hashResult(h, res)
+		if got, want := hex.EncodeToString(h.Sum(nil)), schweitzerMultiServerDigests[m.Name]; got != want {
+			t.Errorf("%s: schweitzer-multiserver digest %s, want %s", m.Name, got, want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 )
 
 // Checkpoint is the portable recursion state of a Solver at its current
@@ -112,7 +113,9 @@ func (s *Solver) Checkpoint() (*Checkpoint, error) {
 // prefix at the checkpoint's population (Result().Prefix(N) of the source
 // solver, possibly round-tripped through modelio's wire form); the restored
 // trajectory and any later extension are bit-identical to the source solving
-// on. On error the solver is left fresh and usable for a cold run.
+// on. A constant-demand solver keeps its one demand row, so every restored
+// row's demands must equal it bit for bit. On error the solver is left fresh
+// and usable for a cold run.
 func (s *Solver) Restore(traj *Result, cp *Checkpoint) error {
 	if s.released {
 		return fmt.Errorf("%w: restore into a released solver", ErrBadRun)
@@ -139,30 +142,50 @@ func (s *Solver) Restore(traj *Result, cp *Checkpoint) error {
 		return fmt.Errorf("%w: trajectory has %d stations, solver model has %d",
 			ErrBadRun, len(traj.StationNames), s.res.k)
 	}
-	s.res.reserve(cp.N)
+	res := s.res
+	res.reserve(cp.N)
 	for i := 0; i < cp.N; i++ {
 		if traj.N[i] != i+1 {
-			s.res.truncate(0)
+			res.truncate(0)
 			return fmt.Errorf("%w: trajectory row %d has population %d", ErrBadRun, i, traj.N[i])
 		}
-		s.res.appendRow()
-		s.res.X[i] = traj.X[i]
-		s.res.R[i] = traj.R[i]
-		s.res.Cycle[i] = traj.Cycle[i]
-		copy(s.res.QueueLen[i], traj.QueueLen[i])
-		copy(s.res.Util[i], traj.Util[i])
-		copy(s.res.Residence[i], traj.Residence[i])
-		copy(s.res.Demands[i], traj.Demands[i])
+		res.appendRow()
+		res.X[i] = traj.X[i]
+		res.R[i] = traj.R[i]
+		res.Cycle[i] = traj.Cycle[i]
+		copy(res.QueueLenRow(i), traj.QueueLenRow(i))
+		copy(res.Util[i], traj.Util[i])
+		copy(res.ResidenceRow(i), traj.ResidenceRow(i))
+		if res.dConst == nil {
+			copy(rowOf(res.dCol, res.k, i), traj.DemandsRow(i))
+		} else if !sameBits(traj.DemandsRow(i), res.dConst) {
+			res.truncate(0)
+			return fmt.Errorf("%w: trajectory row %d has demands other than the model's", ErrBadRun, i)
+		}
 	}
 	if err := s.alg.restore(cp); err != nil {
-		s.res.truncate(0)
+		res.truncate(0)
 		return err
 	}
 	return nil
 }
 
+// sameBits reports whether a and b hold the same floats, bit for bit.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // RestoreResult rebuilds a Result from externally transported rows (the
-// inverse of reading a Result's public slices, used by modelio's wire form).
+// inverse of reading a Result's rows, used by modelio's wire form). It
+// stores every row's demands, whatever the algorithm.
 // All row slices must have length n; every [][]float64 row must have one
 // entry per station. The returned Result owns fresh backing and can seed
 // Solver.Restore.
@@ -196,10 +219,10 @@ func RestoreResult(algorithm, modelName string, thinkTime float64, stationNames 
 		res.X[i] = x[i]
 		res.R[i] = r[i]
 		res.Cycle[i] = cycle[i]
-		copy(res.QueueLen[i], queueLen[i])
+		copy(res.QueueLenRow(i), queueLen[i])
 		copy(res.Util[i], util[i])
-		copy(res.Residence[i], residence[i])
-		copy(res.Demands[i], demands[i])
+		copy(res.ResidenceRow(i), residence[i])
+		copy(rowOf(res.dCol, k, i), demands[i])
 	}
 	return res, nil
 }

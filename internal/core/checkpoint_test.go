@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/interp"
@@ -122,11 +124,11 @@ func compareTrajectories(t *testing.T, want, got *Result) {
 			t.Fatalf("n=%d: X/R/Cycle differ: want (%v %v %v), got (%v %v %v)",
 				i+1, want.X[i], want.R[i], want.Cycle[i], got.X[i], got.R[i], got.Cycle[i])
 		}
-		for k := range want.QueueLen[i] {
-			if want.QueueLen[i][k] != got.QueueLen[i][k] ||
+		for k := range want.QueueLenRow(i) {
+			if want.QueueLenRow(i)[k] != got.QueueLenRow(i)[k] ||
 				want.Util[i][k] != got.Util[i][k] ||
-				want.Residence[i][k] != got.Residence[i][k] ||
-				want.Demands[i][k] != got.Demands[i][k] {
+				want.ResidenceRow(i)[k] != got.ResidenceRow(i)[k] ||
+				want.DemandsRow(i)[k] != got.DemandsRow(i)[k] {
 				t.Fatalf("n=%d station %d: per-station metrics differ", i+1, k)
 			}
 		}
@@ -198,7 +200,8 @@ func TestRestoreResultRoundTrip(t *testing.T) {
 	}
 	res := src.Result()
 	rebuilt, err := RestoreResult(res.Algorithm, res.ModelName, res.ThinkTime, res.StationNames,
-		res.X, res.R, res.Cycle, res.QueueLen, res.Util, res.Residence, res.Demands)
+		res.X, res.R, res.Cycle, rowsOf(res, res.QueueLenRow), res.Util,
+		rowsOf(res, res.ResidenceRow), rowsOf(res, res.DemandsRow))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,6 +219,65 @@ func TestRestoreResultRoundTrip(t *testing.T) {
 	}
 	defer dst.Release()
 	if err := dst.Restore(rebuilt, cp); err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.Extend(80); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Extend(80); err != nil {
+		t.Fatal(err)
+	}
+	compareTrajectories(t, src.Result(), dst.Result())
+}
+
+// TestRestoreRejectsForeignDemands: a constant-demand solver keeps one
+// demand row, so it refuses a trajectory whose demands differ from its
+// model's in any row, by a single bit, and stays fresh: a later restore of
+// the genuine trajectory extends bit-identically to the source.
+func TestRestoreRejectsForeignDemands(t *testing.T) {
+	m := checkpointModel()
+	build := func() *Solver {
+		s, err := NewMultiServerSolver(m, MultiServerOptions{TraceStation: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	src := build()
+	defer src.Release()
+	if err := src.Run(50); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := src.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := src.Result()
+	restored := func(demands [][]float64) *Result {
+		r, err := RestoreResult(res.Algorithm, res.ModelName, res.ThinkTime, res.StationNames,
+			res.X, res.R, res.Cycle, rowsOf(res, res.QueueLenRow), res.Util,
+			rowsOf(res, res.ResidenceRow), demands)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	demands := cloneVecs(rowsOf(res, res.DemandsRow))
+	demands[37][1] = math.Nextafter(demands[37][1], 1)
+
+	dst := build()
+	defer dst.Release()
+	if err := dst.Restore(restored(demands), cp); !errors.Is(err, ErrBadRun) {
+		t.Fatalf("restore of foreign demands: err %v, want ErrBadRun", err)
+	}
+	if dst.N() != 0 || dst.Result().Len() != 0 {
+		t.Fatalf("refused restore left the solver at N=%d with %d rows", dst.N(), dst.Result().Len())
+	}
+	want := dst.Result().dConst
+	if !sameBits(want, m.Demands()) {
+		t.Fatal("refused restore changed the shared demand row")
+	}
+	if err := dst.Restore(restored(rowsOf(res, res.DemandsRow)), cp); err != nil {
 		t.Fatal(err)
 	}
 	if err := dst.Extend(80); err != nil {
@@ -307,4 +369,13 @@ func TestLoadDependentCheckpointClearsPooledData(t *testing.T) {
 			}
 		}
 	}
+}
+
+// rowsOf collects every stored row of one of r's row accessors.
+func rowsOf(r *Result, row func(int) []float64) [][]float64 {
+	out := make([][]float64, r.Len())
+	for i := range out {
+		out[i] = row(i)
+	}
+	return out
 }

@@ -49,12 +49,12 @@ func TestDeepSolveBoundedMemory(t *testing.T) {
 		solver: func(m *queueing.Model) (*core.Solver, error) {
 			return core.NewMultiServerSolver(m, core.MultiServerOptions{TraceStation: -1})
 		},
-		// Per stored row: the N, X, R and Cycle scalars, and the QueueLen,
-		// Util, Residence and Demands rows with their slice headers; plus
-		// 32 KiB of slack.
+		// Per stored row: the N, X, R and Cycle scalars, the QueueLen,
+		// Util and Residence rows and Util's row header; the demands are
+		// one shared row. Plus 32 KiB of slack.
 		bound: func(rows int) int64 {
 			k := len(vins.Stations)
-			return int64(rows*(8*(4+4*k)+4*24)) + 32<<10
+			return int64(rows*(8*(4+3*k)+24)) + 32<<10
 		},
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -85,6 +85,82 @@ func TestDeepSolveBoundedMemory(t *testing.T) {
 			bound := tc.bound(rows)
 			if retained := int64(after.HeapAlloc) - int64(before.HeapAlloc); retained > bound {
 				t.Fatalf("deep solve retained %d bytes in %d rows, bound is %d", retained, rows, bound)
+			}
+			runtime.KeepAlive(res)
+		})
+	}
+}
+
+// TestRetainedBytesPerRow pins what a dense trajectory retains per stored
+// row. Every row holds its N, X, R and Cycle scalars, its QueueLen, Util
+// and Residence rows and Util's row header; only a trajectory whose demands
+// vary by population (MVASD) also stores a demand row, while a
+// constant-demand one shares a single demand row among all its rows. The
+// slack covers the Result's fixed part, the page rounding of each large
+// buffer and the solver scratch the pools keep, under a twentieth of what
+// one more k-wide column would add.
+func TestRetainedBytesPerRow(t *testing.T) {
+	m := testbed.VINS().Model(1)
+	k := len(m.Stations)
+	const maxN = 20_000
+	dm := core.FuncDemands{K: k, F: func(station, n int) float64 {
+		return m.Stations[station].Demand() * (1 - 0.1*float64(n%97)/97)
+	}}
+	for _, tc := range []struct {
+		name    string
+		solve   func() (*core.Result, error)
+		perRow  int
+		varying bool
+	}{{
+		name: "exact",
+		solve: func() (*core.Result, error) {
+			return core.ExactMVA(m, maxN)
+		},
+		perRow: 8*(4+3*k) + 24,
+	}, {
+		name: "multiserver",
+		solve: func() (*core.Result, error) {
+			res, _, err := core.ExactMVAMultiServer(m, maxN, core.MultiServerOptions{TraceStation: -1})
+			return res, err
+		},
+		perRow: 8*(4+3*k) + 24,
+	}, {
+		name: "mvasd",
+		solve: func() (*core.Result, error) {
+			return core.MVASD(m, maxN, dm, core.MVASDOptions{MultiServerOptions: core.MultiServerOptions{TraceStation: -1}})
+		},
+		perRow:  8*(4+4*k) + 24,
+		varying: true,
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Two collections before each reading: the second frees what
+			// sync.Pool victim caches held.
+			runtime.GC()
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := tc.solve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			runtime.GC()
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			if res.Len() != maxN {
+				t.Fatalf("Len=%d, want %d", res.Len(), maxN)
+			}
+			const slack = 64 << 10
+			bound := int64(maxN*tc.perRow) + slack
+			if retained := int64(after.HeapAlloc) - int64(before.HeapAlloc); retained > bound {
+				t.Fatalf("%d rows retained %d bytes (%.1f a row), bound is %d (%d a row plus %d)",
+					maxN, retained, float64(retained)/maxN, bound, tc.perRow, slack)
+			}
+			a, b := res.DemandsRow(10), res.DemandsRow(maxN-1)
+			if shared := &a[0] == &b[0]; shared == tc.varying {
+				t.Fatalf("rows 10 and %d share demand backing: %v", maxN-1, shared)
+			}
+			if tc.varying && a[0] == b[0] {
+				t.Fatal("varying-demand rows 10 and the last hold the same demand")
 			}
 			runtime.KeepAlive(res)
 		})

@@ -218,9 +218,10 @@ func hashResult(h hash.Hash, r *Result) {
 	hashFloats(h, r.X...)
 	hashFloats(h, r.R...)
 	hashFloats(h, r.Cycle...)
-	for _, rows := range [][][]float64{r.QueueLen, r.Util, r.Residence, r.Demands} {
-		for _, row := range rows {
-			hashFloats(h, row...)
+	utilRow := func(i int) []float64 { return r.Util[i] }
+	for _, row := range []func(int) []float64{r.QueueLenRow, utilRow, r.ResidenceRow, r.DemandsRow} {
+		for i := range r.N {
+			hashFloats(h, row(i)...)
 		}
 	}
 	for i := range r.N {

@@ -69,7 +69,7 @@ func (s *loadDepStepper) step(res *Result, n, row int, _ func(int) error, _ *Sol
 		xCap = minf(xCap, s.rates[i](n)/demands[i])
 	}
 	rTotal := 0.0
-	resid := res.Residence[row]
+	resid := res.ResidenceRow(row)
 	for i, st := range m.Stations {
 		if st.Kind == queueing.Delay {
 			resid[i] = demands[i]
@@ -137,17 +137,17 @@ func (s *loadDepStepper) step(res *Result, n, row int, _ func(int) error, _ *Sol
 // fill derives the queue lengths from the step's (possibly capacity-scaled)
 // residence times; delay stations hold X·D_k.
 func (s *loadDepStepper) fill(res *Result, row int) {
-	x, resid := res.X[row], res.Residence[row]
+	x, resid := res.X[row], res.ResidenceRow(row)
+	qRow, uRow := res.QueueLenRow(row), res.Util[row]
 	for i, st := range s.m.Stations {
 		d := s.demands[i]
 		if st.Kind == queueing.Delay {
-			res.QueueLen[row][i] = x * d
-			res.Util[row][i] = 0
+			qRow[i] = x * d
+			uRow[i] = 0
 		} else {
-			res.QueueLen[row][i] = x * resid[i]
-			res.Util[row][i] = minf(x*d/float64(st.Servers), 1)
+			qRow[i] = x * resid[i]
+			uRow[i] = minf(x*d/float64(st.Servers), 1)
 		}
-		res.Demands[row][i] = d
 	}
 }
 
@@ -225,14 +225,15 @@ func NewLoadDependentSolver(m *queueing.Model, rates []RateFunc) (*Solver, error
 			resolved[i] = MultiServerRate(st.Servers)
 		}
 	}
+	shared := m.Demands()
 	demands := getVec(k)
-	copy(demands, m.Demands())
+	copy(demands, shared)
 	alg := &loadDepStepper{m: m, rates: resolved, demands: demands, p: make([][]float64, k)}
 	for i := range alg.p {
 		alg.p[i] = getVec(1)
 		alg.p[i][0] = 1
 	}
-	return newSolver("load-dependent-mva", newEmptyResult("load-dependent-mva", m, 0), alg), nil
+	return newSolver("load-dependent-mva", newEmptyResult("load-dependent-mva", m, shared), alg), nil
 }
 
 // LoadDependentMVA solves the closed network with the textbook *exact*

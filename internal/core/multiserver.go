@@ -89,7 +89,6 @@ func newMultiServerState(m *queueing.Model) *multiServerState {
 	size := 0
 	for i, st := range m.Stations {
 		s.p[i] = getVec(st.Servers)
-		s.p[i][0] = 1 // empty network: P(0 customers) = 1
 		s.stn[i] = msStation{servers: st.Servers, c: float64(st.Servers), delay: st.Kind == queueing.Delay, cur: -1}
 		if s.stn[i].carried() {
 			size += memoWays * st.Servers
@@ -107,8 +106,19 @@ func newMultiServerState(m *queueing.Model) *multiServerState {
 			sk.keys[w] = math.Inf(1)
 		}
 	}
-	s.resetDerived()
+	s.reset()
 	return s
+}
+
+// reset returns the state to the empty network, where every station's
+// P(0 customers) is 1. The memo stays: its entries depend on u alone.
+func (s *multiServerState) reset() {
+	clear(s.queue)
+	for k := range s.p {
+		clear(s.p[k])
+		s.p[k][0] = 1
+	}
+	s.resetDerived()
 }
 
 func (s *multiServerState) release() {
@@ -240,7 +250,7 @@ type marginalRows struct {
 }
 
 func (ms marginalRows) rebuild(cp *Checkpoint, r *Result, i int, hist []float64) {
-	cp.Queue = append([]float64(nil), r.QueueLen[i]...)
+	cp.Queue = append([]float64(nil), r.QueueLenRow(i)...)
 	if ms.withX {
 		cp.X = r.X[i]
 	}
@@ -250,7 +260,7 @@ func (ms marginalRows) rebuild(cp *Checkpoint, r *Result, i int, hist []float64)
 	}
 	flat := make([]float64, total)
 	cp.Marginal = make([][]float64, len(ms.servers))
-	x, d := r.X[i], r.Demands[i]
+	x, d := r.X[i], r.DemandsRow(i)
 	for k, c := range ms.servers {
 		p := flat[:c:c]
 		flat = flat[c:]
@@ -437,7 +447,7 @@ type multiServerStepper struct {
 }
 
 func (s *multiServerStepper) step(res *Result, n, row int, _ func(int) error, _ *SolveHooks) error {
-	x, rTotal := multiServerStep(s.m, s.st, s.demands, s.perServer, n, s.verbatim, res.Residence[row])
+	x, rTotal := multiServerStep(s.m, s.st, s.demands, s.perServer, n, s.verbatim, res.ResidenceRow(row))
 	setRowTotals(res, s.m, row, x, rTotal)
 	if s.trace != nil {
 		s.st.materialize()
@@ -501,7 +511,7 @@ func NewMultiServerSolver(m *queueing.Model, opts MultiServerOptions) (*Solver, 
 			Servers: m.Stations[opts.TraceStation].Servers,
 		}
 	}
-	return newSolver("exact-mva-multiserver", newEmptyResult("exact-mva-multiserver", m, 0), alg), nil
+	return newSolver("exact-mva-multiserver", newEmptyResult("exact-mva-multiserver", m, m.Demands()), alg), nil
 }
 
 // ExactMVAMultiServer solves the network with the paper's Algorithm 2:
@@ -540,17 +550,24 @@ func setRowTotals(res *Result, m *queueing.Model, i int, x, rTotal float64) {
 	res.Cycle[i] = rTotal + m.ThinkTime
 }
 
-// fillMultiServerRow writes the queue lengths, per-server utilizations and
-// demands of the step stored in row i.
+// fillMultiServerRow writes the queue lengths and per-server utilizations
+// of the step stored in row i.
 func fillMultiServerRow(res *Result, m *queueing.Model, i int, queue, demands []float64) {
 	x := res.X[i]
+	qRow, uRow := res.QueueLenRow(i), res.Util[i]
 	for k, stn := range m.Stations {
-		res.QueueLen[i][k] = queue[k]
+		qRow[k] = queue[k]
 		if stn.Kind == queueing.Delay {
-			res.Util[i][k] = 0
+			uRow[k] = 0
 		} else {
-			res.Util[i][k] = math.Min(x*demands[k]/float64(stn.Servers), 1)
+			uRow[k] = math.Min(x*demands[k]/float64(stn.Servers), 1)
 		}
-		res.Demands[i][k] = demands[k]
 	}
+}
+
+// fillVaryingRow is fillMultiServerRow for a trajectory whose demands vary
+// by row: it also stores the step's demands.
+func fillVaryingRow(res *Result, m *queueing.Model, i int, queue, demands []float64) {
+	fillMultiServerRow(res, m, i, queue, demands)
+	copy(rowOf(res.dCol, res.k, i), demands)
 }

@@ -65,7 +65,7 @@ type exactStepper struct {
 
 func (e *exactStepper) step(res *Result, n, row int, _ func(int) error, _ *SolveHooks) error {
 	demands, delay, q := e.c.demands, e.c.delay, e.q
-	resid := res.Residence[row]
+	resid := res.ResidenceRow(row)
 	k := len(demands)
 	if len(q) < k || len(delay) < k || len(resid) < k {
 		return fmt.Errorf("%w: exact stepper state shape mismatch", ErrBadRun)
@@ -93,13 +93,14 @@ func (e *exactStepper) fill(res *Result, row int) {
 	fillConstRow(res, row, &e.c, e.q)
 }
 
-// fillConstRow writes the queue lengths q, the per-server utilizations and
-// the demands of a constant-demand step into row.
+// fillConstRow writes the queue lengths q and the per-server utilizations
+// of a constant-demand step into row; the demands are the Result's shared
+// row.
 func fillConstRow(res *Result, row int, c *stationConsts, q []float64) {
 	demands := c.demands
 	k := len(demands)
 	delay, serversF, q := c.delay[:k], c.serversF[:k], q[:k]
-	qRow, uRow, dRow := res.QueueLen[row][:k], res.Util[row][:k], res.Demands[row][:k]
+	qRow, uRow := res.QueueLenRow(row)[:k], res.Util[row][:k]
 	x := res.X[row]
 	for i := 0; i < k; i++ {
 		qRow[i] = q[i]
@@ -111,7 +112,6 @@ func fillConstRow(res *Result, row int, c *stationConsts, q []float64) {
 			}
 		}
 		uRow[i] = u
-		dRow[i] = demands[i]
 	}
 }
 
@@ -136,7 +136,7 @@ func NewExactMVASolver(m *queueing.Model) (*Solver, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	return newSolver("exact-mva", newEmptyResult("exact-mva", m, 0),
+	return newSolver("exact-mva", newEmptyResult("exact-mva", m, m.Demands()),
 		&exactStepper{c: newStationConsts(m), z: m.ThinkTime, q: getVec(len(m.Stations))}), nil
 }
 
@@ -217,7 +217,7 @@ type schweitzerStepper struct {
 func (s *schweitzerStepper) step(res *Result, n, row int, _ func(int) error, hooks *SolveHooks) error {
 	demands, delay, q := s.c.demands, s.c.delay, s.q
 	k := len(demands)
-	resid := res.Residence[row]
+	resid := res.ResidenceRow(row)
 	if len(q) < k || len(delay) < k || len(resid) < k {
 		return fmt.Errorf("%w: schweitzer stepper state shape mismatch", ErrBadRun)
 	}
@@ -310,7 +310,7 @@ func NewSchweitzerSolver(m *queueing.Model, opts SchweitzerOptions) (*Solver, er
 		return nil, err
 	}
 	opts.defaults()
-	return newSolver("schweitzer-amva", newEmptyResult("schweitzer-amva", m, 0),
+	return newSolver("schweitzer-amva", newEmptyResult("schweitzer-amva", m, m.Demands()),
 		&schweitzerStepper{c: newStationConsts(m), z: m.ThinkTime, opts: opts, q: getVec(len(m.Stations))}), nil
 }
 

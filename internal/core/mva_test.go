@@ -142,8 +142,8 @@ func TestExactMVADelayStation(t *testing.T) {
 	}
 	// The delay contributes exactly 0.05 at every population.
 	for i := range res.N {
-		if math.Abs(res.Residence[i][1]-0.05) > 1e-12 {
-			t.Fatalf("delay residence at n=%d: %g", res.N[i], res.Residence[i][1])
+		if math.Abs(res.ResidenceRow(i)[1]-0.05) > 1e-12 {
+			t.Fatalf("delay residence at n=%d: %g", res.N[i], res.ResidenceRow(i)[1])
 		}
 	}
 }

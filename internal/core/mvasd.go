@@ -85,7 +85,7 @@ func (s *mvasdStepper) step(res *Result, n, row int, stop func(int) error, hooks
 			s.demandsAt(n, 0)
 			s.pegged = s.steady > 0 && n >= s.steady
 		}
-		xn, rTotal := multiServerStep(m, s.st, demands, s.per, n, s.opts.Verbatim, res.Residence[row])
+		xn, rTotal := multiServerStep(m, s.st, demands, s.per, n, s.opts.Verbatim, res.ResidenceRow(row))
 		setRowTotals(res, m, row, xn, rTotal)
 		s.x = xn
 		return nil
@@ -110,7 +110,7 @@ func (s *mvasdStepper) step(res *Result, n, row int, stop func(int) error, hooks
 		}
 		s.demandsAt(n, guess)
 		s.trial.copyFrom(s.st)
-		xn, rTotal := multiServerStep(m, s.trial, demands, s.per, n, s.opts.Verbatim, res.Residence[row])
+		xn, rTotal := multiServerStep(m, s.trial, demands, s.per, n, s.opts.Verbatim, res.ResidenceRow(row))
 		resid = math.Abs(xn-guess) / math.Max(guess, 1e-12)
 		if math.Abs(xn-guess) <= s.opts.FixedPointTol*math.Max(guess, 1e-12) {
 			s.st, s.trial = s.trial, s.st
@@ -128,7 +128,7 @@ func (s *mvasdStepper) step(res *Result, n, row int, stop func(int) error, hooks
 // fill reads the demands of the step just committed: a throughput-mode
 // step leaves the converged iteration's demands in s.dems.
 func (s *mvasdStepper) fill(res *Result, row int) {
-	fillMultiServerRow(res, s.m, row, s.st.queue, s.dems)
+	fillVaryingRow(res, s.m, row, s.st.queue, s.dems)
 }
 
 func (s *mvasdStepper) release() {
@@ -188,7 +188,7 @@ func NewMVASDSolver(m *queueing.Model, dm DemandModel, opts MVASDOptions) (*Solv
 	} else if cd, ok := dm.(*CurveDemands); ok {
 		alg.steady = cd.steady
 	}
-	return newSolver(name, newEmptyResult(name, m, 0), alg), nil
+	return newSolver(name, newEmptyResult(name, m, nil), alg), nil
 }
 
 // MVASD solves the network with the paper's Algorithm 3: exact multi-server
@@ -228,7 +228,7 @@ type mvasdSingleStepper struct {
 func (s *mvasdSingleStepper) step(res *Result, n, row int, _ func(int) error, _ *SolveHooks) error {
 	m, dm, q, demands := s.m, s.dm, s.q, s.dems
 	rTotal := 0.0
-	resid := res.Residence[row]
+	resid := res.ResidenceRow(row)
 	for i, stn := range m.Stations {
 		demands[i] = dm.DemandAt(i, n, 0)
 		norm := demands[i] / float64(stn.Servers)
@@ -250,7 +250,7 @@ func (s *mvasdSingleStepper) step(res *Result, n, row int, _ func(int) error, _ 
 }
 
 func (s *mvasdSingleStepper) fill(res *Result, row int) {
-	fillMultiServerRow(res, s.m, row, s.q, s.dems)
+	fillVaryingRow(res, s.m, row, s.q, s.dems)
 }
 
 func (s *mvasdSingleStepper) release() {
@@ -280,7 +280,7 @@ func NewMVASDSingleServerSolver(m *queueing.Model, dm DemandModel, opts MVASDOpt
 	}
 	opts.defaults()
 	k := len(m.Stations)
-	return newSolver("mvasd-single-server", newEmptyResult("mvasd-single-server", m, 0),
+	return newSolver("mvasd-single-server", newEmptyResult("mvasd-single-server", m, nil),
 		&mvasdSingleStepper{m: m, dm: dm, q: getVec(k), dems: getVec(k)}), nil
 }
 

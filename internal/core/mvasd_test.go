@@ -167,7 +167,7 @@ func TestMVASDConstantExtrapolationBeyondSamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	for n := 101; n <= 300; n++ {
-		if got := res.Demands[n-1][0]; got != 0.007 {
+		if got := res.DemandsRow(n - 1)[0]; got != 0.007 {
 			t.Fatalf("demand at n=%d is %g, want pegged 0.007", n, got)
 		}
 	}

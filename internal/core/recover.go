@@ -22,10 +22,10 @@ func (r *Result) rowCopy(i int) RecoveredRow {
 		X:         r.X[i],
 		R:         r.R[i],
 		Cycle:     r.Cycle[i],
-		QueueLen:  append([]float64(nil), r.QueueLen[i]...),
+		QueueLen:  append([]float64(nil), r.QueueLenRow(i)...),
 		Util:      append([]float64(nil), r.Util[i]...),
-		Residence: append([]float64(nil), r.Residence[i]...),
-		Demands:   append([]float64(nil), r.Demands[i]...),
+		Residence: append([]float64(nil), r.ResidenceRow(i)...),
+		Demands:   append([]float64(nil), r.DemandsRow(i)...),
 	}
 }
 

@@ -32,11 +32,13 @@ import (
 // Result is the trajectory of a closed-network solution for populations
 // n = 1..N. Slices indexed by n use position n-1.
 //
-// The two-dimensional metrics are strided views into flat backing buffers so
-// a Solver can grow the trajectory geometrically: extending to a larger
-// population appends rows without copying or re-solving the prefix. The
-// public slice headers below are resliced on growth; rows already handed out
-// via Prefix keep pointing at their original backing and stay immutable.
+// The per-station metrics are flat columns, one k-wide row per population,
+// read through the row accessors (QueueLenRow, ResidenceRow, DemandsRow)
+// and, for utilizations, the Util row views. A Solver grows the trajectory
+// geometrically: extending to a larger population appends rows without
+// copying or re-solving the prefix, and rows already handed out via Prefix
+// keep pointing at their original backing and stay immutable. A
+// constant-demand trajectory stores its demand vector once, for every row.
 type Result struct {
 	// Algorithm names the solver that produced the result.
 	Algorithm string
@@ -56,21 +58,15 @@ type Result struct {
 	// Cycle[i] is the mean cycle time R+Z (seconds), the quantity the
 	// paper reports as "response time" in its deviation tables.
 	Cycle []float64
-	// QueueLen[i][k] is the mean number of jobs at station k.
-	QueueLen [][]float64
 	// Util[i][k] is the per-server utilization of station k in [0, 1]
 	// (X·D_k/C_k), the quantity plotted in the paper's Fig. 9.
 	Util [][]float64
-	// Residence[i][k] is the residence time V_k·R_k of station k (seconds).
-	Residence [][]float64
-	// Demands[i][k] is the service demand used at step i for station k —
-	// constant for classic MVA, varying for MVASD.
-	Demands [][]float64
 
-	// Growable backing. Each [][]float64 metric is a prefix of its row-header
-	// array (qRows etc.), whose rows are non-overlapping k-wide windows into
-	// one flat buffer. appendRow only reslices the public headers, so a step
-	// inside reserved capacity allocates nothing.
+	// Growable backing. Every per-station metric is a flat column: row i
+	// is the k-wide window [i·k, (i+1)·k) of one buffer (see rowOf). Util
+	// alone also keeps a row-header array, uRows, behind its public view.
+	// appendRow only reslices, so a step inside reserved capacity
+	// allocates nothing.
 	k       int // stations per row
 	capRows int // allocated row capacity
 
@@ -99,13 +95,47 @@ type Result struct {
 	rBuf   []float64
 	cycBuf []float64
 
-	qFlat, uFlat, resFlat, dFlat []float64
-	qRows, uRows, resRows, dRows [][]float64
+	// The columns' lengths are the stored rows', so that rowOf panics on any
+	// other row. dCol holds the demands of a trajectory whose demands vary
+	// by population (MVASD); a constant-demand trajectory leaves it nil and
+	// shares the one read-only row dConst among all its rows instead.
+	qCol, uCol, resCol, dCol []float64
+	dConst                   []float64
+	uRows                    [][]float64
 }
 
-// newEmptyResult allocates a zero-length Result for m with room for capHint
-// population steps (0 means lazily allocate on the first appendRow).
-func newEmptyResult(algorithm string, m *queueing.Model, capHint int) *Result {
+// rowOf returns row i of a k-wide flat column: a k-length window whose
+// capacity ends with it, so an append to it cannot spill into the next row.
+func rowOf(col []float64, k, i int) []float64 {
+	hi := (i + 1) * k
+	_ = col[hi-1] // i must be a stored row
+	return col[hi-k : hi : hi]
+}
+
+// QueueLenRow returns the mean number of jobs at each station in row i.
+// Like every row accessor, it returns a view of the stored row: treat it
+// as read-only.
+func (r *Result) QueueLenRow(i int) []float64 { return rowOf(r.qCol, r.k, i) }
+
+// ResidenceRow returns the residence time V_k·R_k of each station in row i
+// (seconds).
+func (r *Result) ResidenceRow(i int) []float64 { return rowOf(r.resCol, r.k, i) }
+
+// DemandsRow returns the service demand each station used in row i:
+// varying for MVASD, constant otherwise. Every row of a constant-demand
+// trajectory returns the same shared slice.
+func (r *Result) DemandsRow(i int) []float64 {
+	if r.dConst != nil {
+		_ = r.N[i] // i must be a stored row
+		return r.dConst
+	}
+	return rowOf(r.dCol, r.k, i)
+}
+
+// newEmptyResult allocates a zero-length Result for m. demands is the one
+// demand vector every row of a constant-demand trajectory shares, which
+// the Result then owns; nil means the demands vary by row.
+func newEmptyResult(algorithm string, m *queueing.Model, demands []float64) *Result {
 	k := len(m.Stations)
 	r := &Result{
 		Algorithm:    algorithm,
@@ -113,22 +143,10 @@ func newEmptyResult(algorithm string, m *queueing.Model, capHint int) *Result {
 		ThinkTime:    m.ThinkTime,
 		StationNames: make([]string, k),
 		k:            k,
+		dConst:       demands,
 	}
 	for i, st := range m.Stations {
 		r.StationNames[i] = st.Name
-	}
-	if capHint > 0 {
-		r.reserve(capHint)
-	}
-	return r
-}
-
-// newResult allocates a Result for K stations with N materialized population
-// steps (rows zeroed, ready for direct writes by the legacy solver bodies).
-func newResult(algorithm string, m *queueing.Model, n int) *Result {
-	r := newEmptyResult(algorithm, m, n)
-	for i := 0; i < n; i++ {
-		r.appendRow()
 	}
 	return r
 }
@@ -160,19 +178,20 @@ func (r *Result) reserve(n int) {
 	copy(cycBuf, r.cycBuf[:rows])
 	r.nBuf, r.xBuf, r.rBuf, r.cycBuf = nBuf, xBuf, rBuf, cycBuf
 
-	grow := func(flat []float64) ([]float64, [][]float64) {
-		nf := make([]float64, newCap*k)
-		copy(nf, flat[:rows*k])
-		hdr := make([][]float64, newCap)
-		for i := range hdr {
-			hdr[i] = nf[i*k : (i+1)*k : (i+1)*k]
-		}
-		return nf, hdr
+	grow := func(col []float64) []float64 {
+		nc := make([]float64, rows*k, newCap*k)
+		copy(nc, col)
+		return nc
 	}
-	r.qFlat, r.qRows = grow(r.qFlat)
-	r.uFlat, r.uRows = grow(r.uFlat)
-	r.resFlat, r.resRows = grow(r.resFlat)
-	r.dFlat, r.dRows = grow(r.dFlat)
+	r.qCol, r.uCol, r.resCol = grow(r.qCol), grow(r.uCol), grow(r.resCol)
+	if r.dConst == nil {
+		r.dCol = grow(r.dCol)
+	}
+	r.uRows = make([][]float64, newCap)
+	uCol := r.uCol[:newCap*k]
+	for i := range r.uRows {
+		r.uRows[i] = rowOf(uCol, k, i)
+	}
 	if r.stride > 1 {
 		// Every stored row of a decimated trajectory records where its
 		// history ends.
@@ -205,10 +224,12 @@ func (r *Result) reslice(n int) {
 	r.X = r.xBuf[:n]
 	r.R = r.rBuf[:n]
 	r.Cycle = r.cycBuf[:n]
-	r.QueueLen = r.qRows[:n]
 	r.Util = r.uRows[:n]
-	r.Residence = r.resRows[:n]
-	r.Demands = r.dRows[:n]
+	k := r.k
+	r.qCol, r.uCol, r.resCol = r.qCol[:n*k], r.uCol[:n*k], r.resCol[:n*k]
+	if r.dConst == nil {
+		r.dCol = r.dCol[:n*k]
+	}
 }
 
 // appendRow exposes the next dense population row for the solver step to
@@ -402,14 +423,18 @@ func (r *Result) view(rows, solvedN int) *Result {
 		X:            r.X[:rows:rows],
 		R:            r.R[:rows:rows],
 		Cycle:        r.Cycle[:rows:rows],
-		QueueLen:     r.QueueLen[:rows:rows],
 		Util:         r.Util[:rows:rows],
-		Residence:    r.Residence[:rows:rows],
-		Demands:      r.Demands[:rows:rows],
 		k:            r.k,
+		qCol:         r.qCol[: rows*r.k : rows*r.k],
+		uCol:         r.uCol[: rows*r.k : rows*r.k],
+		resCol:       r.resCol[: rows*r.k : rows*r.k],
+		dConst:       r.dConst,
 		stride:       r.stride,
 		basePop:      r.basePop,
 		solvedN:      solvedN,
+	}
+	if r.dConst == nil {
+		v.dCol = r.dCol[: rows*r.k : rows*r.k]
 	}
 	if r.stride > 1 {
 		// Rows past the view only ever append to hist beyond histEnd[rows-1].
@@ -512,7 +537,7 @@ func (r *Result) CheckInvariants() error {
 			return fmt.Errorf("core: Little's law violated at n=%d: X(R+Z)=%g", r.N[i], lhs)
 		}
 		qsum := 0.0
-		for _, q := range r.QueueLen[i] {
+		for _, q := range r.QueueLenRow(i) {
 			if q < -1e-9 {
 				return fmt.Errorf("core: negative queue length at n=%d", r.N[i])
 			}

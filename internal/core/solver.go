@@ -10,9 +10,9 @@ import (
 // mutates the stepper's own recursion state only on success, so a failed or
 // cancelled step can be retried. step writes only what every population
 // needs: X, R, Cycle and Residence (its scratch) of row i. fill writes the
-// rest of the row — QueueLen, Util and Demands — from the post-step state,
-// and runs only for rows the trajectory keeps, so a decimated run does not
-// fill the rows it discards. The row index is passed separately from n
+// rest of the row — QueueLen, Util and, where they vary by row, Demands —
+// from the post-step state, and runs only for rows the trajectory keeps, so
+// a decimated run does not fill the rows it discards. The row index is passed separately from n
 // because a decimated or chunked trajectory does not store row n-1 at index
 // n-1. stop is the per-step cancellation probe (nil when non-cancellable);
 // only steppers with inner fixed-point loops consult it. hooks is the
@@ -52,7 +52,7 @@ type rowState interface {
 type queueRows struct{}
 
 func (queueRows) rebuild(cp *Checkpoint, r *Result, i int, _ []float64) {
-	cp.Queue = append([]float64(nil), r.QueueLen[i]...)
+	cp.Queue = append([]float64(nil), r.QueueLenRow(i)...)
 }
 
 // noHistory is the history of a stepper whose rows rebuild its whole state.

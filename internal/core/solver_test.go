@@ -109,9 +109,9 @@ func requireBitIdentical(t *testing.T, a, b *Result) {
 			t.Fatalf("scalar row %d differs: N %d/%d X %v/%v R %v/%v Cycle %v/%v",
 				i, a.N[i], b.N[i], a.X[i], b.X[i], a.R[i], b.R[i], a.Cycle[i], b.Cycle[i])
 		}
-		for k := range a.QueueLen[i] {
-			if a.QueueLen[i][k] != b.QueueLen[i][k] || a.Util[i][k] != b.Util[i][k] ||
-				a.Residence[i][k] != b.Residence[i][k] || a.Demands[i][k] != b.Demands[i][k] {
+		for k := range a.QueueLenRow(i) {
+			if a.QueueLenRow(i)[k] != b.QueueLenRow(i)[k] || a.Util[i][k] != b.Util[i][k] ||
+				a.ResidenceRow(i)[k] != b.ResidenceRow(i)[k] || a.DemandsRow(i)[k] != b.DemandsRow(i)[k] {
 				t.Fatalf("station row %d/%d differs", i, k)
 			}
 		}
@@ -206,7 +206,7 @@ func TestPrefixImmuneToConcurrentExtend(t *testing.T) {
 			}
 			sum := 0.0
 			for i := range pre.N {
-				sum += pre.X[i] + pre.QueueLen[i][0]
+				sum += pre.X[i] + pre.QueueLenRow(i)[0]
 			}
 			_ = sum
 		}

@@ -356,7 +356,7 @@ func NewTrajectory(res *core.Result, every int) *Trajectory {
 		return t
 	}
 	t.FinalUtil = res.FinalUtilization()
-	t.FinalQueueLen = append([]float64(nil), res.QueueLen[len(res.QueueLen)-1]...)
+	t.FinalQueueLen = append([]float64(nil), res.QueueLenRow(res.Len()-1)...)
 	t.MaxX, t.MaxXAt = res.MaxThroughput()
 	if every <= 1 {
 		k := len(res.N)

@@ -75,14 +75,20 @@ func fuzzResponse(data []byte, modelName, station string, shape uint16) *SolveRe
 	if shape&1 != 0 {
 		stations = nil
 	}
-	res := &core.Result{
-		Algorithm: AlgoMultiServer, ModelName: modelName, ThinkTime: f.float(),
-		StationNames: stations,
-		N:            n[:k], X: x[:k], R: r[:k], Cycle: cycle[:k],
-	}
-	for i := 0; i < k; i++ {
-		res.Util = append(res.Util, f.floats(2))
-		res.QueueLen = append(res.QueueLen, f.floats(2))
+	z := f.float()
+	res := &core.Result{Algorithm: AlgoMultiServer, ModelName: modelName, ThinkTime: z, StationNames: stations}
+	if k > 0 {
+		util, queueLen, zeros := make([][]float64, k), make([][]float64, k), make([][]float64, k)
+		for i := range util {
+			util[i], queueLen[i], zeros[i] = f.floats(2), f.floats(2), make([]float64, 2)
+		}
+		var err error
+		res, err = core.RestoreResult(AlgoMultiServer, modelName, z, []string{station, "app/cpu"},
+			x[:k], r[:k], cycle[:k], queueLen, util, zeros, zeros)
+		if err != nil {
+			panic(err)
+		}
+		res.StationNames = stations
 	}
 	every := int(shape>>1) % 5 // 0..4: dense and decimated replies
 	t := NewTrajectory(res, every)

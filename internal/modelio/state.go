@@ -90,12 +90,22 @@ func NewTrajectoryState(res *core.Result, cp *core.Checkpoint) (*TrajectoryState
 		X:            res.X,
 		R:            res.R,
 		Cycle:        res.Cycle,
-		QueueLen:     res.QueueLen,
+		QueueLen:     rowsOf(res, res.QueueLenRow),
 		Util:         res.Util,
-		Residence:    res.Residence,
-		Demands:      res.Demands,
+		Residence:    rowsOf(res, res.ResidenceRow),
+		Demands:      rowsOf(res, res.DemandsRow),
 		Checkpoint:   NewCheckpointState(cp),
 	}, nil
+}
+
+// rowsOf collects every stored row of one of res's row accessors; the rows
+// alias res's storage.
+func rowsOf(res *core.Result, row func(int) []float64) [][]float64 {
+	out := make([][]float64, res.Len())
+	for i := range out {
+		out[i] = row(i)
+	}
+	return out
 }
 
 // Restore validates the state and rebuilds the (trajectory, checkpoint) pair
@@ -170,10 +180,10 @@ func NewDeepRows(res *core.Result) []DeepRow {
 			X:         res.X[i],
 			R:         res.R[i],
 			Cycle:     res.Cycle[i],
-			QueueLen:  res.QueueLen[i],
+			QueueLen:  res.QueueLenRow(i),
 			Util:      res.Util[i],
-			Residence: res.Residence[i],
-			Demands:   res.Demands[i],
+			Residence: res.ResidenceRow(i),
+			Demands:   res.DemandsRow(i),
 		}
 	}
 	return rows

@@ -55,9 +55,9 @@ func truthWindow(res *core.Result, n int) Window {
 	return Window{
 		Elapsed:         time.Second,
 		Completions:     x,
-		BusySeconds:     x * truthDW,               // U_workers = X·D_w
-		StationSeconds:  x * res.Residence[n-1][0], // queued+busy at workers
-		InFlightSeconds: float64(n),                // closed system, Z=0
+		BusySeconds:     x * truthDW,                    // U_workers = X·D_w
+		StationSeconds:  x * res.ResidenceRow(n - 1)[0], // queued+busy at workers
+		InFlightSeconds: float64(n),                     // closed system, Z=0
 		Latencies:       lat,
 	}
 }
@@ -400,7 +400,7 @@ func TestBreachTriggersRefit(t *testing.T) {
 		Elapsed:         time.Second,
 		Completions:     res.X[7] / 2,
 		BusySeconds:     res.X[7] / 2 * 2 * truthDW,
-		StationSeconds:  res.X[7] / 2 * 2 * res.Residence[7][0],
+		StationSeconds:  res.X[7] / 2 * 2 * res.ResidenceRow(7)[0],
 		InFlightSeconds: 8,
 		Latencies:       []time.Duration{time.Duration(2 * res.Cycle[7] * float64(time.Second))},
 	}

@@ -59,7 +59,7 @@ func makeSelfReady(t *testing.T, s *Server) int {
 			Elapsed:         time.Second,
 			Completions:     x,
 			BusySeconds:     x * admTruthDW,
-			StationSeconds:  x * res.Residence[n-1][0],
+			StationSeconds:  x * res.ResidenceRow(n - 1)[0],
 			InFlightSeconds: float64(n),
 			Latencies:       lat,
 		}

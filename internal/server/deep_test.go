@@ -45,7 +45,7 @@ func TestSolveDecimated(t *testing.T) {
 		}
 	}
 	for k := range want.StationNames {
-		if tr.FinalUtil[k] != want.Util[99][k] || tr.FinalQueueLen[k] != want.QueueLen[99][k] {
+		if tr.FinalUtil[k] != want.Util[99][k] || tr.FinalQueueLen[k] != want.QueueLenRow(99)[k] {
 			t.Fatalf("station %d: decimated final row differs from dense", k)
 		}
 	}
