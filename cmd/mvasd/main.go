@@ -124,7 +124,7 @@ func run(args []string, out *os.File) error {
 			continue
 		}
 		tab.AddRow(fmt.Sprint(nn), report.F(res.X[i], 3), report.F(res.R[i], 4),
-			report.F(res.Cycle[i], 4), report.Pct(res.Util[i][bIdx]*100))
+			report.F(res.Cycle[i], 4), report.Pct(res.UtilRow(i)[bIdx]*100))
 	}
 	if err := tab.Render(out); err != nil {
 		return err

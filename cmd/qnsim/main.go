@@ -103,8 +103,9 @@ func run(args []string, out io.Writer) error {
 	}
 	ut := report.NewTable("station utilization (fraction of servers busy)",
 		"station", "simulated", "LD-MVA")
+	util := ld.UtilRow(*n - 1)
 	for k, st := range model.Stations {
-		ut.AddRow(st.Name, report.F(stats.Utilization[k], 4), report.F(ld.Util[*n-1][k], 4))
+		ut.AddRow(st.Name, report.F(stats.Utilization[k], 4), report.F(util[k], 4))
 	}
 	return ut.Render(out)
 }

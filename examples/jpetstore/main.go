@@ -128,9 +128,10 @@ func main() {
 	cpuCol := matrix.Station("db/cpu")
 	diskCol := matrix.Station("db/disk")
 	for i, n := range grid {
+		util := mvasd.UtilRow(n - 1)
 		ut.AddRow(fmt.Sprint(n),
-			report.Pct(cpuCol[i]), report.Pct(mvasd.Util[n-1][cpuIdx]*100),
-			report.Pct(diskCol[i]), report.Pct(mvasd.Util[n-1][diskIdx]*100))
+			report.Pct(cpuCol[i]), report.Pct(util[cpuIdx]*100),
+			report.Pct(diskCol[i]), report.Pct(util[diskIdx]*100))
 	}
 	if err := ut.Render(os.Stdout); err != nil {
 		log.Fatal(err)

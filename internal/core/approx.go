@@ -113,19 +113,10 @@ func SchweitzerMultiServer(m *queueing.Model, maxN int, opts SchweitzerOptions) 
 		if !converged {
 			return nil, fmt.Errorf("%w: schweitzer-multiserver did not converge at n=%d", ErrBadRun, n)
 		}
-		i := n - 1
-		qRow, uRow := res.QueueLenRow(i), res.Util[i]
-		for j, stn := range m.Stations {
-			qRow[j] = q[j]
-			if stn.Kind == queueing.Delay {
-				uRow[j] = 0
-			} else {
-				uRow[j] = minf(x*demands[j]/float64(stn.Servers), 1)
-			}
-		}
-		res.X[i] = x
-		res.R[i] = rTotal
-		res.Cycle[i] = rTotal + m.ThinkTime
+		// The row derives its queue lengths, q, from X and the residence
+		// times of the converged iteration.
+		setRowTotals(res, m, n-1, x, rTotal)
+		res.fillUtil(n - 1)
 	}
 	return res, nil
 }

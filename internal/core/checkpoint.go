@@ -114,8 +114,10 @@ func (s *Solver) Checkpoint() (*Checkpoint, error) {
 // solver, possibly round-tripped through modelio's wire form); the restored
 // trajectory and any later extension are bit-identical to the source solving
 // on. A constant-demand solver keeps its one demand row, so every restored
-// row's demands must equal it bit for bit. On error the solver is left fresh
-// and usable for a cold run.
+// row's demands must equal it bit for bit; and the solver's rows derive
+// their queue lengths and utilizations, so every restored row's must equal
+// what its X, residence times and demands derive under the solver's model,
+// bit for bit. On error the solver is left fresh and usable for a cold run.
 func (s *Solver) Restore(traj *Result, cp *Checkpoint) error {
 	if s.released {
 		return fmt.Errorf("%w: restore into a released solver", ErrBadRun)
@@ -144,6 +146,7 @@ func (s *Solver) Restore(traj *Result, cp *Checkpoint) error {
 	}
 	res := s.res
 	res.reserve(cp.N)
+	var have, want []float64
 	for i := 0; i < cp.N; i++ {
 		if traj.N[i] != i+1 {
 			res.truncate(0)
@@ -153,8 +156,6 @@ func (s *Solver) Restore(traj *Result, cp *Checkpoint) error {
 		res.X[i] = traj.X[i]
 		res.R[i] = traj.R[i]
 		res.Cycle[i] = traj.Cycle[i]
-		copy(res.QueueLenRow(i), traj.QueueLenRow(i))
-		copy(res.Util[i], traj.Util[i])
 		copy(res.ResidenceRow(i), traj.ResidenceRow(i))
 		if res.dConst == nil {
 			copy(rowOf(res.dCol, res.k, i), traj.DemandsRow(i))
@@ -162,6 +163,17 @@ func (s *Solver) Restore(traj *Result, cp *Checkpoint) error {
 			res.truncate(0)
 			return fmt.Errorf("%w: trajectory row %d has demands other than the model's", ErrBadRun, i)
 		}
+		have, want = traj.AppendQueueLenRow(have[:0], i), res.AppendQueueLenRow(want[:0], i)
+		if !sameBits(have, want) {
+			res.truncate(0)
+			return fmt.Errorf("%w: trajectory row %d has queue lengths its rows do not derive", ErrBadRun, i)
+		}
+		have, want = traj.AppendUtilRow(have[:0], i), res.AppendUtilRow(want[:0], i)
+		if !sameBits(have, want) {
+			res.truncate(0)
+			return fmt.Errorf("%w: trajectory row %d has utilizations its rows do not derive", ErrBadRun, i)
+		}
+		copy(res.Util[i], want)
 	}
 	if err := s.alg.restore(cp); err != nil {
 		res.truncate(0)
@@ -185,7 +197,10 @@ func sameBits(a, b []float64) bool {
 
 // RestoreResult rebuilds a Result from externally transported rows (the
 // inverse of reading a Result's rows, used by modelio's wire form). It
-// stores every row's demands, whatever the algorithm.
+// stores every row's demands, whatever the algorithm. The rows carry no
+// station kinds, so unlike a solver's Result it cannot derive queue lengths
+// and utilizations: it keeps the transported ones, and Solver.Restore
+// checks them against what its own rows derive.
 // All row slices must have length n; every [][]float64 row must have one
 // entry per station. The returned Result owns fresh backing and can seed
 // Solver.Restore.
@@ -211,6 +226,7 @@ func RestoreResult(algorithm, modelName string, thinkTime float64, stationNames 
 		k:            k,
 	}
 	res.reserve(n)
+	res.restoredQ = make([]float64, 0, n*k)
 	for i := 0; i < n; i++ {
 		if len(queueLen[i]) != k || len(util[i]) != k || len(residence[i]) != k || len(demands[i]) != k {
 			return nil, fmt.Errorf("%w: restored trajectory row %d is not %d stations wide", ErrBadRun, i, k)
@@ -219,7 +235,7 @@ func RestoreResult(algorithm, modelName string, thinkTime float64, stationNames 
 		res.X[i] = x[i]
 		res.R[i] = r[i]
 		res.Cycle[i] = cycle[i]
-		copy(res.QueueLenRow(i), queueLen[i])
+		res.restoredQ = append(res.restoredQ, queueLen[i]...)
 		copy(res.Util[i], util[i])
 		copy(res.ResidenceRow(i), residence[i])
 		copy(rowOf(res.dCol, k, i), demands[i])

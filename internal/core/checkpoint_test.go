@@ -289,6 +289,93 @@ func TestRestoreRejectsForeignDemands(t *testing.T) {
 	compareTrajectories(t, src.Result(), dst.Result())
 }
 
+// TestRestoreRejectsUnderivedRows: a solver's rows derive their queue
+// lengths and utilizations, so it refuses a transported trajectory whose
+// queue lengths or utilizations differ, by a single bit in one row, from
+// what its X, residence times and demands derive, and stays fresh: a later
+// restore of the genuine trajectory extends bit-identically to the source.
+// The load-dependent trajectory runs past population 149, from where its
+// steps clamp X and scale the delay station's residence time, whose queue
+// length stays X·D_k.
+func TestRestoreRejectsUnderivedRows(t *testing.T) {
+	m := solverTestModel()
+	const n, bad = 200, 170
+	for name, build := range map[string]func() (*Solver, error){
+		"multiserver": func() (*Solver, error) {
+			return NewMultiServerSolver(m, MultiServerOptions{TraceStation: -1})
+		},
+		"load-dependent": func() (*Solver, error) { return NewLoadDependentSolver(m, nil) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			mustBuild := func() *Solver {
+				s, err := build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			src := mustBuild()
+			defer src.Release()
+			if err := src.Run(n); err != nil {
+				t.Fatal(err)
+			}
+			cp, err := src.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := src.Result()
+			restored := func(queueLen, util [][]float64) *Result {
+				r, err := RestoreResult(res.Algorithm, res.ModelName, res.ThinkTime, res.StationNames,
+					res.X, res.R, res.Cycle, queueLen, util, rowsOf(res, res.ResidenceRow), rowsOf(res, res.DemandsRow))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return r
+			}
+			queueLen, util := rowsOf(res, res.QueueLenRow), rowsOf(res, res.UtilRow)
+			if delay := queueLen[bad][2]; name == "load-dependent" && delay == res.X[bad]*res.ResidenceRow(bad)[2] {
+				t.Fatalf("row %d's delay station is not clamped: Q=%g", bad, delay)
+			}
+			for k := range m.Stations {
+				for _, tc := range []struct {
+					what           string
+					queueLen, util [][]float64
+				}{
+					{"queue length", cloneVecs(queueLen), util},
+					{"utilization", queueLen, cloneVecs(util)},
+				} {
+					off := tc.queueLen
+					if tc.what == "utilization" {
+						off = tc.util
+					}
+					off[bad][k] = math.Nextafter(off[bad][k], math.Inf(1))
+					dst := mustBuild()
+					err := dst.Restore(restored(tc.queueLen, tc.util), cp)
+					if !errors.Is(err, ErrBadRun) {
+						t.Fatalf("restore of a %s one bit off at station %d: err %v, want ErrBadRun", tc.what, k, err)
+					}
+					if dst.N() != 0 || dst.Result().Len() != 0 {
+						t.Fatalf("refused restore left the solver at N=%d with %d rows", dst.N(), dst.Result().Len())
+					}
+					dst.Release()
+				}
+			}
+			dst := mustBuild()
+			defer dst.Release()
+			if err := dst.Restore(restored(queueLen, util), cp); err != nil {
+				t.Fatal(err)
+			}
+			if err := dst.Extend(n + 30); err != nil {
+				t.Fatal(err)
+			}
+			if err := src.Extend(n + 30); err != nil {
+				t.Fatal(err)
+			}
+			compareTrajectories(t, src.Result(), dst.Result())
+		})
+	}
+}
+
 // TestCloneVecsFlat: a checkpoint's marginal rows share one flat backing
 // array yet behave like independent row copies — same values and JSON,
 // empty rows nil, and no row can grow into its neighbour.

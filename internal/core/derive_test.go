@@ -192,3 +192,63 @@ func schweitzerMultiServerQueue(t *testing.T, m *queueing.Model, n int) []float6
 	t.Fatalf("schweitzer-multiserver reference did not converge at n=%d", n)
 	return nil
 }
+
+// TestDerivedRowAccessors pins the contract of the derived rows: UtilRow
+// holds what the Util field holds; QueueLenRow and UtilRow return rows the
+// caller owns; the append forms append after dst's contents; a Prefix view
+// derives the same rows; and a Result rebuilt from transported rows keeps
+// the transported queue lengths, whatever its other rows derive.
+func TestDerivedRowAccessors(t *testing.T) {
+	m := solverTestModel()
+	const maxN = 60
+	for name, alg := range solverAlgorithms(t, m) {
+		t.Run(name, func(t *testing.T) {
+			res := alg.cold(maxN)
+			view, err := res.Prefix(maxN / 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range res.N {
+				requireRowBits(t, fmt.Sprintf("row %d UtilRow", i), res.Util[i], res.UtilRow(i))
+				q := res.QueueLenRow(i)
+				q[0] = -1
+				if res.QueueLenRow(i)[0] == -1 {
+					t.Fatalf("row %d: writing a QueueLenRow result changed the row", i)
+				}
+				u := res.UtilRow(i)
+				u[0] = -1
+				if res.UtilRow(i)[0] == -1 || res.Util[i][0] == -1 {
+					t.Fatalf("row %d: writing a UtilRow result changed the row", i)
+				}
+				dst := []float64{7}
+				requireRowBits(t, "AppendQueueLenRow", append([]float64{7}, res.QueueLenRow(i)...), res.AppendQueueLenRow(dst, i))
+				requireRowBits(t, "AppendUtilRow", append([]float64{7}, res.UtilRow(i)...), res.AppendUtilRow(dst, i))
+				if i < view.Len() {
+					requireRowBits(t, "view QueueLenRow", res.QueueLenRow(i), view.QueueLenRow(i))
+					requireRowBits(t, "view UtilRow", res.UtilRow(i), view.UtilRow(i))
+				}
+			}
+		})
+	}
+
+	res := solverAlgorithms(t, m)["multiserver"].cold(3)
+	queueLen := rowsOf(res, res.QueueLenRow)
+	queueLen[1][0] = 42 // no row derives it; a transported Result keeps it
+	rebuilt, err := RestoreResult(res.Algorithm, res.ModelName, res.ThinkTime, res.StationNames,
+		res.X, res.R, res.Cycle, queueLen, rowsOf(res, res.UtilRow),
+		rowsOf(res, res.ResidenceRow), rowsOf(res, res.DemandsRow))
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := rebuilt.Prefix(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range rebuilt.N {
+		requireRowBits(t, fmt.Sprintf("transported row %d queue", i), queueLen[i], rebuilt.QueueLenRow(i))
+		requireRowBits(t, fmt.Sprintf("transported row %d util", i), res.UtilRow(i), rebuilt.UtilRow(i))
+		if i < view.Len() {
+			requireRowBits(t, fmt.Sprintf("transported view row %d queue", i), queueLen[i], view.QueueLenRow(i))
+		}
+	}
+}

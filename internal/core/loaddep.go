@@ -134,22 +134,10 @@ func (s *loadDepStepper) step(res *Result, n, row int, _ func(int) error, _ *Sol
 	return nil
 }
 
-// fill derives the queue lengths from the step's (possibly capacity-scaled)
-// residence times; delay stations hold X·D_k.
-func (s *loadDepStepper) fill(res *Result, row int) {
-	x, resid := res.X[row], res.ResidenceRow(row)
-	qRow, uRow := res.QueueLenRow(row), res.Util[row]
-	for i, st := range s.m.Stations {
-		d := s.demands[i]
-		if st.Kind == queueing.Delay {
-			qRow[i] = x * d
-			uRow[i] = 0
-		} else {
-			qRow[i] = x * resid[i]
-			uRow[i] = minf(x*d/float64(st.Servers), 1)
-		}
-	}
-}
+// fill stores the row's utilizations. Its queue lengths are derived from
+// the step's (possibly capacity-scaled) residence times, X·D_k at a delay
+// station (Result.AppendQueueLenRow).
+func (s *loadDepStepper) fill(res *Result, row int) { res.fillUtil(row) }
 
 func (s *loadDepStepper) release() {
 	putVec(s.demands)

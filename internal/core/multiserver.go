@@ -250,7 +250,7 @@ type marginalRows struct {
 }
 
 func (ms marginalRows) rebuild(cp *Checkpoint, r *Result, i int, hist []float64) {
-	cp.Queue = append([]float64(nil), r.QueueLenRow(i)...)
+	cp.Queue = r.QueueLenRow(i)
 	if ms.withX {
 		cp.X = r.X[i]
 	}
@@ -456,9 +456,7 @@ func (s *multiServerStepper) step(res *Result, n, row int, _ func(int) error, _ 
 	return nil
 }
 
-func (s *multiServerStepper) fill(res *Result, row int) {
-	fillMultiServerRow(res, s.m, row, s.st.queue, s.demands)
-}
+func (s *multiServerStepper) fill(res *Result, row int) { res.fillUtil(row) }
 
 func (s *multiServerStepper) release() {
 	s.st.release()
@@ -550,24 +548,9 @@ func setRowTotals(res *Result, m *queueing.Model, i int, x, rTotal float64) {
 	res.Cycle[i] = rTotal + m.ThinkTime
 }
 
-// fillMultiServerRow writes the queue lengths and per-server utilizations
-// of the step stored in row i.
-func fillMultiServerRow(res *Result, m *queueing.Model, i int, queue, demands []float64) {
-	x := res.X[i]
-	qRow, uRow := res.QueueLenRow(i), res.Util[i]
-	for k, stn := range m.Stations {
-		qRow[k] = queue[k]
-		if stn.Kind == queueing.Delay {
-			uRow[k] = 0
-		} else {
-			uRow[k] = math.Min(x*demands[k]/float64(stn.Servers), 1)
-		}
-	}
-}
-
-// fillVaryingRow is fillMultiServerRow for a trajectory whose demands vary
-// by row: it also stores the step's demands.
-func fillVaryingRow(res *Result, m *queueing.Model, i int, queue, demands []float64) {
-	fillMultiServerRow(res, m, i, queue, demands)
+// fillVaryingRow completes row i of a trajectory whose demands vary by
+// row: it stores the step's demands, then the utilizations they give.
+func fillVaryingRow(res *Result, i int, demands []float64) {
 	copy(rowOf(res.dCol, res.k, i), demands)
+	res.fillUtil(i)
 }

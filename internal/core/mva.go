@@ -14,32 +14,29 @@ import (
 var ErrBadRun = errors.New("core: invalid solver run")
 
 // stationConsts are the per-population invariants of a constant-demand
-// model, hoisted out of the per-step hot loops: the demand vector, the
-// delay-centre flags and the float server counts. Computing st.Demand()
+// model, hoisted out of the per-step hot loops: the demand vector and the
+// delay-centre flags. Computing st.Demand()
 // (a Visits·ServiceTime multiply behind a struct copy) inside the step made
 // the model slice the hottest object in deep-solve profiles; these arrays
 // are resolved once at solver construction.
 type stationConsts struct {
-	demands  []float64 // D_k = V_k·S_k
-	delay    []bool    // Kind == Delay
-	serversF []float64 // float64(C_k)
+	demands []float64 // D_k = V_k·S_k
+	delay   []bool    // Kind == Delay
 }
 
 func newStationConsts(m *queueing.Model) stationConsts {
 	k := len(m.Stations)
-	c := stationConsts{demands: getVec(k), delay: make([]bool, k), serversF: getVec(k)}
+	c := stationConsts{demands: getVec(k), delay: make([]bool, k)}
 	for i, st := range m.Stations {
 		c.demands[i] = st.Demand()
 		c.delay[i] = st.Kind == queueing.Delay
-		c.serversF[i] = float64(st.Servers)
 	}
 	return c
 }
 
 func (c *stationConsts) release() {
 	putVec(c.demands)
-	putVec(c.serversF)
-	c.demands, c.serversF, c.delay = nil, nil, nil
+	c.demands, c.delay = nil, nil
 }
 
 // validateRun performs the checks shared by every solver entry point.
@@ -89,31 +86,10 @@ func (e *exactStepper) step(res *Result, n, row int, _ func(int) error, _ *Solve
 	return nil
 }
 
-func (e *exactStepper) fill(res *Result, row int) {
-	fillConstRow(res, row, &e.c, e.q)
-}
-
-// fillConstRow writes the queue lengths q and the per-server utilizations
-// of a constant-demand step into row; the demands are the Result's shared
-// row.
-func fillConstRow(res *Result, row int, c *stationConsts, q []float64) {
-	demands := c.demands
-	k := len(demands)
-	delay, serversF, q := c.delay[:k], c.serversF[:k], q[:k]
-	qRow, uRow := res.QueueLenRow(row)[:k], res.Util[row][:k]
-	x := res.X[row]
-	for i := 0; i < k; i++ {
-		qRow[i] = q[i]
-		u := 0.0
-		if !delay[i] {
-			u = x * demands[i] / serversF[i]
-			if u > 1 {
-				u = 1
-			}
-		}
-		uRow[i] = u
-	}
-}
+// fill stores the row's utilizations; its queue lengths are q, which the
+// row derives (Result.AppendQueueLenRow), and its demands are the Result's
+// shared row.
+func (e *exactStepper) fill(res *Result, row int) { res.fillUtil(row) }
 
 func (e *exactStepper) release() {
 	e.c.release()
@@ -273,9 +249,7 @@ func (s *schweitzerStepper) step(res *Result, n, row int, _ func(int) error, hoo
 	return nil
 }
 
-func (s *schweitzerStepper) fill(res *Result, row int) {
-	fillConstRow(res, row, &s.c, s.q)
-}
+func (s *schweitzerStepper) fill(res *Result, row int) { res.fillUtil(row) }
 
 func (s *schweitzerStepper) release() {
 	s.c.release()

@@ -128,7 +128,7 @@ func (s *mvasdStepper) step(res *Result, n, row int, stop func(int) error, hooks
 // fill reads the demands of the step just committed: a throughput-mode
 // step leaves the converged iteration's demands in s.dems.
 func (s *mvasdStepper) fill(res *Result, row int) {
-	fillVaryingRow(res, s.m, row, s.st.queue, s.dems)
+	fillVaryingRow(res, row, s.dems)
 }
 
 func (s *mvasdStepper) release() {
@@ -250,7 +250,7 @@ func (s *mvasdSingleStepper) step(res *Result, n, row int, _ func(int) error, _ 
 }
 
 func (s *mvasdSingleStepper) fill(res *Result, row int) {
-	fillVaryingRow(res, s.m, row, s.q, s.dems)
+	fillVaryingRow(res, row, s.dems)
 }
 
 func (s *mvasdSingleStepper) release() {

@@ -22,8 +22,8 @@ func (r *Result) rowCopy(i int) RecoveredRow {
 		X:         r.X[i],
 		R:         r.R[i],
 		Cycle:     r.Cycle[i],
-		QueueLen:  append([]float64(nil), r.QueueLenRow(i)...),
-		Util:      append([]float64(nil), r.Util[i]...),
+		QueueLen:  r.QueueLenRow(i),
+		Util:      r.UtilRow(i),
 		Residence: append([]float64(nil), r.ResidenceRow(i)...),
 		Demands:   append([]float64(nil), r.DemandsRow(i)...),
 	}

@@ -32,9 +32,11 @@ import (
 // Result is the trajectory of a closed-network solution for populations
 // n = 1..N. Slices indexed by n use position n-1.
 //
-// The per-station metrics are flat columns, one k-wide row per population,
-// read through the row accessors (QueueLenRow, ResidenceRow, DemandsRow)
-// and, for utilizations, the Util row views. A Solver grows the trajectory
+// The per-station metrics a row cannot derive are flat columns, one k-wide
+// row per population, read through ResidenceRow and DemandsRow. Queue
+// lengths and utilizations are derived from them on read (QueueLenRow,
+// UtilRow); the Util row views still store the utilizations as well. A
+// Solver grows the trajectory
 // geometrically: extending to a larger population appends rows without
 // copying or re-solving the prefix, and rows already handed out via Prefix
 // keep pointing at their original backing and stay immutable. A
@@ -62,9 +64,10 @@ type Result struct {
 	// (X·D_k/C_k), the quantity plotted in the paper's Fig. 9.
 	Util [][]float64
 
-	// Growable backing. Every per-station metric is a flat column: row i
-	// is the k-wide window [i·k, (i+1)·k) of one buffer (see rowOf). Util
-	// alone also keeps a row-header array, uRows, behind its public view.
+	// Growable backing. Every stored per-station metric is a flat column:
+	// row i is the k-wide window [i·k, (i+1)·k) of one buffer (see rowOf).
+	// Util alone also keeps a row-header array, uRows, behind its public
+	// view.
 	// appendRow only reslices, so a step inside reserved capacity
 	// allocates nothing.
 	k       int // stations per row
@@ -99,9 +102,16 @@ type Result struct {
 	// other row. dCol holds the demands of a trajectory whose demands vary
 	// by population (MVASD); a constant-demand trajectory leaves it nil and
 	// shares the one read-only row dConst among all its rows instead.
-	qCol, uCol, resCol, dCol []float64
-	dConst                   []float64
-	uRows                    [][]float64
+	uCol, resCol, dCol []float64
+	dConst             []float64
+	uRows              [][]float64
+
+	// servers is the station vector the derived metrics read: C_k as a
+	// float, 0 at a delay station. A Result rebuilt from transported rows
+	// (RestoreResult) knows no station kinds; it leaves servers nil and
+	// keeps the transported queue lengths in restoredQ, a flat column.
+	servers   []float64
+	restoredQ []float64
 }
 
 // rowOf returns row i of a k-wide flat column: a k-length window whose
@@ -112,14 +122,68 @@ func rowOf(col []float64, k, i int) []float64 {
 	return col[hi-k : hi : hi]
 }
 
-// QueueLenRow returns the mean number of jobs at each station in row i.
-// Like every row accessor, it returns a view of the stored row: treat it
-// as read-only.
-func (r *Result) QueueLenRow(i int) []float64 { return rowOf(r.qCol, r.k, i) }
-
 // ResidenceRow returns the residence time V_k·R_k of each station in row i
-// (seconds).
+// (seconds). Like DemandsRow, it returns a view of the stored row: treat it
+// as read-only.
 func (r *Result) ResidenceRow(i int) []float64 { return rowOf(r.resCol, r.k, i) }
+
+// AppendQueueLenRow appends the mean number of jobs at each station in row
+// i to dst and returns the extended slice. Queue lengths are not stored:
+// every recursion ends a population step with Little's law per station, so
+// Q_k = X·V_k·R_k, the row's throughput times its residence time. At a delay
+// station it is X·D_k, which is the same product except where load-dependent
+// MVA scales the residence times of a capacity-clamped step.
+func (r *Result) AppendQueueLenRow(dst []float64, i int) []float64 {
+	if r.servers == nil {
+		return append(dst, rowOf(r.restoredQ, r.k, i)...)
+	}
+	x, resid, d := r.X[i], r.ResidenceRow(i), r.DemandsRow(i)
+	for k, c := range r.servers {
+		if c == 0 {
+			dst = append(dst, x*d[k])
+		} else {
+			dst = append(dst, x*resid[k])
+		}
+	}
+	return dst
+}
+
+// QueueLenRow returns the mean number of jobs at each station in row i (see
+// AppendQueueLenRow) in a fresh slice the caller owns.
+func (r *Result) QueueLenRow(i int) []float64 {
+	return r.AppendQueueLenRow(make([]float64, 0, r.k), i)
+}
+
+// AppendUtilRow appends the per-server utilization of each station in row
+// i to dst and returns the extended slice: the Utilization Law,
+// min(X·D_k/C_k, 1), and 0 at a delay station.
+func (r *Result) AppendUtilRow(dst []float64, i int) []float64 {
+	if r.servers == nil {
+		return append(dst, r.Util[i]...)
+	}
+	x, d := r.X[i], r.DemandsRow(i)
+	for k, c := range r.servers {
+		u := 0.0
+		if c != 0 {
+			u = x * d[k] / c
+			if u > 1 {
+				u = 1
+			}
+		}
+		dst = append(dst, u)
+	}
+	return dst
+}
+
+// UtilRow returns the per-server utilization of each station in row i (see
+// AppendUtilRow) in a fresh slice the caller owns. It holds what Util[i]
+// holds.
+func (r *Result) UtilRow(i int) []float64 {
+	return r.AppendUtilRow(make([]float64, 0, r.k), i)
+}
+
+// fillUtil stores row i's utilizations in the Util column.
+func (r *Result) fillUtil(i int) { r.AppendUtilRow(rowOf(r.uCol, r.k, i)[:0], i) }
 
 // DemandsRow returns the service demand each station used in row i:
 // varying for MVASD, constant otherwise. Every row of a constant-demand
@@ -144,9 +208,13 @@ func newEmptyResult(algorithm string, m *queueing.Model, demands []float64) *Res
 		StationNames: make([]string, k),
 		k:            k,
 		dConst:       demands,
+		servers:      make([]float64, k),
 	}
 	for i, st := range m.Stations {
 		r.StationNames[i] = st.Name
+		if st.Kind != queueing.Delay {
+			r.servers[i] = float64(st.Servers)
+		}
 	}
 	return r
 }
@@ -183,7 +251,7 @@ func (r *Result) reserve(n int) {
 		copy(nc, col)
 		return nc
 	}
-	r.qCol, r.uCol, r.resCol = grow(r.qCol), grow(r.uCol), grow(r.resCol)
+	r.uCol, r.resCol = grow(r.uCol), grow(r.resCol)
 	if r.dConst == nil {
 		r.dCol = grow(r.dCol)
 	}
@@ -226,7 +294,7 @@ func (r *Result) reslice(n int) {
 	r.Cycle = r.cycBuf[:n]
 	r.Util = r.uRows[:n]
 	k := r.k
-	r.qCol, r.uCol, r.resCol = r.qCol[:n*k], r.uCol[:n*k], r.resCol[:n*k]
+	r.uCol, r.resCol = r.uCol[:n*k], r.resCol[:n*k]
 	if r.dConst == nil {
 		r.dCol = r.dCol[:n*k]
 	}
@@ -425,16 +493,19 @@ func (r *Result) view(rows, solvedN int) *Result {
 		Cycle:        r.Cycle[:rows:rows],
 		Util:         r.Util[:rows:rows],
 		k:            r.k,
-		qCol:         r.qCol[: rows*r.k : rows*r.k],
 		uCol:         r.uCol[: rows*r.k : rows*r.k],
 		resCol:       r.resCol[: rows*r.k : rows*r.k],
 		dConst:       r.dConst,
+		servers:      r.servers,
 		stride:       r.stride,
 		basePop:      r.basePop,
 		solvedN:      solvedN,
 	}
 	if r.dConst == nil {
 		v.dCol = r.dCol[: rows*r.k : rows*r.k]
+	}
+	if r.servers == nil {
+		v.restoredQ = r.restoredQ[: rows*r.k : rows*r.k]
 	}
 	if r.stride > 1 {
 		// Rows past the view only ever append to hist beyond histEnd[rows-1].
@@ -494,12 +565,10 @@ func (r *Result) MaxThroughput() (x float64, n int) {
 // FinalUtilization returns the per-station utilization row at the largest
 // solved population.
 func (r *Result) FinalUtilization() []float64 {
-	if len(r.Util) == 0 {
+	if len(r.N) == 0 {
 		return nil
 	}
-	out := make([]float64, len(r.Util[len(r.Util)-1]))
-	copy(out, r.Util[len(r.Util)-1])
-	return out
+	return r.UtilRow(len(r.N) - 1)
 }
 
 // StationIndex returns the index of the named station, or -1.
@@ -514,9 +583,11 @@ func (r *Result) StationIndex(name string) int {
 
 // UtilSeries returns the utilization trajectory of a single station.
 func (r *Result) UtilSeries(station int) []float64 {
-	out := make([]float64, len(r.Util))
-	for i := range r.Util {
-		out[i] = r.Util[i][station]
+	out := make([]float64, len(r.N))
+	var row []float64
+	for i := range out {
+		row = r.AppendUtilRow(row[:0], i)
+		out[i] = row[station]
 	}
 	return out
 }
@@ -527,6 +598,7 @@ func (r *Result) UtilSeries(station int) []float64 {
 // by property tests and the CLI's self-check. (Monotonicity of R holds only
 // for constant demands and is checked separately by CheckMonotone.)
 func (r *Result) CheckInvariants() error {
+	var q []float64
 	for i := range r.N {
 		n := float64(r.N[i])
 		if r.X[i] < 0 || r.R[i] < 0 {
@@ -537,11 +609,12 @@ func (r *Result) CheckInvariants() error {
 			return fmt.Errorf("core: Little's law violated at n=%d: X(R+Z)=%g", r.N[i], lhs)
 		}
 		qsum := 0.0
-		for _, q := range r.QueueLenRow(i) {
-			if q < -1e-9 {
+		q = r.AppendQueueLenRow(q[:0], i)
+		for _, v := range q {
+			if v < -1e-9 {
 				return fmt.Errorf("core: negative queue length at n=%d", r.N[i])
 			}
-			qsum += q
+			qsum += v
 		}
 		if qsum > n*(1+1e-6)+1e-6 {
 			return fmt.Errorf("core: queued population %g exceeds N=%d", qsum, r.N[i])

@@ -52,7 +52,7 @@ type rowState interface {
 type queueRows struct{}
 
 func (queueRows) rebuild(cp *Checkpoint, r *Result, i int, _ []float64) {
-	cp.Queue = append([]float64(nil), r.QueueLenRow(i)...)
+	cp.Queue = r.QueueLenRow(i)
 }
 
 // noHistory is the history of a stepper whose rows rebuild its whole state.

@@ -199,7 +199,7 @@ func runFig9(ctx *Context) (*Outcome, error) {
 		k := sd.StationIndex(name)
 		pred := make([]float64, len(cam.EvalConcurrencies))
 		for i, n := range cam.EvalConcurrencies {
-			pred[i] = sd.Util[n-1][k] * 100
+			pred[i] = sd.UtilRow(n - 1)[k] * 100
 		}
 		meas := matrix.Station(name)
 		chart.Add(name+" measured", grid, meas)

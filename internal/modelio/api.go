@@ -356,7 +356,7 @@ func NewTrajectory(res *core.Result, every int) *Trajectory {
 		return t
 	}
 	t.FinalUtil = res.FinalUtilization()
-	t.FinalQueueLen = append([]float64(nil), res.QueueLenRow(res.Len()-1)...)
+	t.FinalQueueLen = res.QueueLenRow(res.Len() - 1)
 	t.MaxX, t.MaxXAt = res.MaxThroughput()
 	if every <= 1 {
 		k := len(res.N)
@@ -398,9 +398,15 @@ func (t *Trajectory) AppendRecovered(row core.RecoveredRow) {
 
 // Finite reports whether every number the trajectory encodes is finite.
 // JSON has no NaN or ±Inf, and a model whose think time and demands sum to
-// zero, or whose values overflow float64, solves to them.
+// zero, or whose values overflow float64, solves to them. When a row text
+// memo covers the row columns (SetRowText), they are finite already: the
+// memo stops at the first row that is not.
 func (t *Trajectory) Finite() bool {
-	for _, col := range [][]float64{t.X, t.R, t.Cycle, t.FinalUtil, t.FinalQueueLen} {
+	cols := [][]float64{t.X, t.R, t.Cycle, t.FinalUtil, t.FinalQueueLen}
+	if t.memoCovers() {
+		cols = cols[3:]
+	}
+	for _, col := range cols {
 		for _, v := range col {
 			if v-v != 0 { // NaN or ±Inf
 				return false

@@ -126,7 +126,7 @@ func (t *Trajectory) appendJSON(b []byte) ([]byte, error) {
 	}
 	b = append(b, `,"stationNames":`...)
 	b = appendStrings(b, t.StationNames)
-	if k := len(t.N); t.text.Rows() >= k && t.denseFrom1() {
+	if k := len(t.N); t.memoCovers() {
 		b = append(b, `,"n":`...)
 		b = t.text.appendColumn(b, 0, k)
 		b = append(b, `,"x":`...)
@@ -167,6 +167,10 @@ func (t *Trajectory) appendJSON(b []byte) ([]byte, error) {
 	b = strconv.AppendInt(b, int64(t.MaxXAt), 10)
 	return append(b, '}'), nil
 }
+
+// memoCovers reports whether the row text memo holds every row of the
+// trajectory's columns.
+func (t *Trajectory) memoCovers() bool { return t.text.Rows() >= len(t.N) && t.denseFrom1() }
 
 // denseFrom1 reports whether the trajectory is exactly populations 1..k with
 // k ≥ 1 rows in every column — the only shape a RowText memo can serve.

@@ -189,6 +189,42 @@ func TestRowTextExtendLeavesOldMemo(t *testing.T) {
 	}
 }
 
+// TestFiniteTrustsOnlyACoveringMemo: a memo vouches only for the rows it
+// holds, so a trajectory with a NaN or ±Inf past them is still refused,
+// while one the memo covers is judged on its final rows alone.
+func TestFiniteTrustsOnlyACoveringMemo(t *testing.T) {
+	n := []int{1, 2, 3, 4, 5}
+	x := []float64{0.5, 1, 1.5, 2, 2.5}
+	memo := (*RowText)(nil).Extend(n[:3], x[:3], x[:3], x[:3])
+	for col := 0; col < 3; col++ {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cols := [3][]float64{x, x, x}
+			cols[col] = append([]float64(nil), x...)
+			cols[col][4] = bad
+			tr := &Trajectory{N: n, X: cols[0], R: cols[1], Cycle: cols[2],
+				FinalUtil: []float64{0.5}, FinalQueueLen: []float64{1}, MaxX: 2.5, MaxXAt: 5}
+			tr.SetRowText(memo)
+			if tr.Finite() {
+				t.Errorf("column %d holds %g in row 4, past a 3-row memo, and passed", col, bad)
+			}
+			tr.SetRowText(memo.Extend(n, tr.X, tr.R, tr.Cycle)) // stops at the bad row
+			if tr.Finite() {
+				t.Errorf("column %d holds %g in row 4 and passed with an extended memo", col, bad)
+			}
+		}
+	}
+	tr := &Trajectory{N: n[:3], X: x[:3], R: x[:3], Cycle: x[:3],
+		FinalUtil: []float64{0.5}, FinalQueueLen: []float64{1}, MaxX: 1.5, MaxXAt: 3}
+	tr.SetRowText(memo)
+	if !tr.Finite() {
+		t.Fatal("a finite trajectory its memo covers was refused")
+	}
+	tr.FinalQueueLen = []float64{math.NaN()}
+	if tr.Finite() {
+		t.Error("a NaN final queue length passed under a covering memo")
+	}
+}
+
 // TestRowTextFootprint bounds a memo's memory per row (text plus offsets,
 // capacity included) on a 400-population multiserver trajectory, the size
 // the README quotes next to the entry's own row store.

@@ -90,8 +90,8 @@ func NewTrajectoryState(res *core.Result, cp *core.Checkpoint) (*TrajectoryState
 		X:            res.X,
 		R:            res.R,
 		Cycle:        res.Cycle,
-		QueueLen:     rowsOf(res, res.QueueLenRow),
-		Util:         res.Util,
+		QueueLen:     derivedRows(res, res.AppendQueueLenRow),
+		Util:         derivedRows(res, res.AppendUtilRow),
 		Residence:    rowsOf(res, res.ResidenceRow),
 		Demands:      rowsOf(res, res.DemandsRow),
 		Checkpoint:   NewCheckpointState(cp),
@@ -104,6 +104,19 @@ func rowsOf(res *core.Result, row func(int) []float64) [][]float64 {
 	out := make([][]float64, res.Len())
 	for i := range out {
 		out[i] = row(i)
+	}
+	return out
+}
+
+// derivedRows collects every stored row of one of res's derived metrics,
+// appended back to back into one fresh backing array.
+func derivedRows(res *core.Result, appendRow func([]float64, int) []float64) [][]float64 {
+	k := len(res.StationNames)
+	flat := make([]float64, 0, res.Len()*k)
+	out := make([][]float64, res.Len())
+	for i := range out {
+		flat = appendRow(flat, i)
+		out[i] = flat[len(flat)-k : len(flat) : len(flat)]
 	}
 	return out
 }
@@ -174,14 +187,15 @@ type DeepRow struct {
 // NewDeepRows flattens a chunk Result's stored rows for the wire.
 func NewDeepRows(res *core.Result) []DeepRow {
 	rows := make([]DeepRow, res.Len())
+	queueLen, util := derivedRows(res, res.AppendQueueLenRow), derivedRows(res, res.AppendUtilRow)
 	for i := range rows {
 		rows[i] = DeepRow{
 			N:         res.N[i],
 			X:         res.X[i],
 			R:         res.R[i],
 			Cycle:     res.Cycle[i],
-			QueueLen:  res.QueueLenRow(i),
-			Util:      res.Util[i],
+			QueueLen:  queueLen[i],
+			Util:      util[i],
 			Residence: res.ResidenceRow(i),
 			Demands:   res.DemandsRow(i),
 		}

@@ -101,7 +101,7 @@ func finiteAt(res *core.Result, n int) error {
 	if err != nil {
 		return nil // checkAt reports populations out of the solved range
 	}
-	for _, v := range append([]float64{x, r, cycle}, res.Util[n-1]...) {
+	for _, v := range res.AppendUtilRow([]float64{x, r, cycle}, n-1) {
 		if v-v != 0 {
 			return queueing.ErrNotFinite
 		}
@@ -124,15 +124,16 @@ func checkAt(res *core.Result, m *queueing.Model, n int, sla SLA) []Violation {
 	if sla.MinThroughput > 0 && x < sla.MinThroughput {
 		out = append(out, Violation{Clause: "throughput", Have: x, Want: sla.MinThroughput})
 	}
+	util := res.UtilRow(n - 1)
 	for k, name := range res.StationNames {
 		cap := sla.MaxUtilization
 		if v, ok := sla.StationCaps[name]; ok {
 			cap = v
 		}
-		if cap > 0 && res.Util[n-1][k] > cap {
+		if cap > 0 && util[k] > cap {
 			out = append(out, Violation{
 				Clause: "utilization of " + name,
-				Have:   res.Util[n-1][k], Want: cap,
+				Have:   util[k], Want: cap,
 			})
 		}
 	}

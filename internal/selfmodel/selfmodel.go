@@ -600,8 +600,10 @@ func solveCurve(snap *estimate.Snapshot, maxN int, satUtil float64) (*curve, err
 		cycle:   append([]float64(nil), res.Cycle[:maxN]...),
 		util:    make([]float64, maxN),
 	}
+	var util []float64
 	for i := 0; i < maxN; i++ {
-		c.util[i] = res.Util[i][0]
+		util = res.AppendUtilRow(util[:0], i)
+		c.util[i] = util[0]
 		if !c.saturated && c.util[i] >= satUtil {
 			c.saturated, c.kneeN = true, i+1
 		}

@@ -418,16 +418,18 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		Cached:            hit,
 	}
 	resp.N = maxN
+	var util []float64
 	for n := 1; n <= maxN; n++ {
-		if res.Util[n-1][k] >= target {
+		if util = res.AppendUtilRow(util[:0], n-1); util[k] >= target {
 			resp.Saturated, resp.SaturationN, resp.N = true, n, n
 			break
 		}
 	}
+	util = res.AppendUtilRow(util[:0], resp.N-1)
 	resp.X, _, resp.Cycle, _ = res.At(resp.N)
-	resp.Utilization = res.Util[resp.N-1][k]
+	resp.Utilization = util[k]
 	worst := -1.0
-	for i, u := range res.Util[resp.N-1] {
+	for i, u := range util {
 		if u > worst {
 			worst, resp.Bottleneck = u, res.StationNames[i]
 		}

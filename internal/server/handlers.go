@@ -332,9 +332,12 @@ func pointResult(res *core.Result, req *modelio.SolveRequest, populations []int,
 			recovered[row.N] = row
 		}
 	}
+	// utilAt derives a stored row's utilizations into buf, which holds
+	// every station of the models the service sees without allocating.
+	var buf [16]float64
 	utilAt := func(n int) []float64 {
 		if i := res.IndexOf(n); i >= 0 {
-			return res.Util[i]
+			return res.AppendUtilRow(buf[:0], i)
 		}
 		return recovered[n].Util
 	}
