@@ -159,7 +159,7 @@ func assertDeepMatches(t *testing.T, got *deepStream, want *core.Result) {
 				row.N, row.X, want.X[i], row.R, want.R[i])
 		}
 		for k := range want.StationNames {
-			if row.QueueLen[k] != want.QueueLenRow(i)[k] || row.Util[k] != want.Util[i][k] ||
+			if row.QueueLen[k] != want.QueueLenRow(i)[k] || row.Util[k] != want.UtilRow(i)[k] ||
 				row.Residence[k] != want.ResidenceRow(i)[k] || row.Demands[k] != want.DemandsRow(i)[k] {
 				t.Fatalf("n=%d station %d: distributed row differs from single-node", row.N, k)
 			}

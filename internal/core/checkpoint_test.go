@@ -126,7 +126,7 @@ func compareTrajectories(t *testing.T, want, got *Result) {
 		}
 		for k := range want.QueueLenRow(i) {
 			if want.QueueLenRow(i)[k] != got.QueueLenRow(i)[k] ||
-				want.Util[i][k] != got.Util[i][k] ||
+				want.UtilRow(i)[k] != got.UtilRow(i)[k] ||
 				want.ResidenceRow(i)[k] != got.ResidenceRow(i)[k] ||
 				want.DemandsRow(i)[k] != got.DemandsRow(i)[k] {
 				t.Fatalf("n=%d station %d: per-station metrics differ", i+1, k)
@@ -200,7 +200,7 @@ func TestRestoreResultRoundTrip(t *testing.T) {
 	}
 	res := src.Result()
 	rebuilt, err := RestoreResult(res.Algorithm, res.ModelName, res.ThinkTime, res.StationNames,
-		res.X, res.R, res.Cycle, rowsOf(res, res.QueueLenRow), res.Util,
+		res.X, res.R, res.Cycle, rowsOf(res, res.QueueLenRow), rowsOf(res, res.UtilRow),
 		rowsOf(res, res.ResidenceRow), rowsOf(res, res.DemandsRow))
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +255,7 @@ func TestRestoreRejectsForeignDemands(t *testing.T) {
 	res := src.Result()
 	restored := func(demands [][]float64) *Result {
 		r, err := RestoreResult(res.Algorithm, res.ModelName, res.ThinkTime, res.StationNames,
-			res.X, res.R, res.Cycle, rowsOf(res, res.QueueLenRow), res.Util,
+			res.X, res.R, res.Cycle, rowsOf(res, res.QueueLenRow), rowsOf(res, res.UtilRow),
 			rowsOf(res, res.ResidenceRow), demands)
 		if err != nil {
 			t.Fatal(err)

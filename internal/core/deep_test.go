@@ -21,7 +21,7 @@ func rowEqualsRecovered(t *testing.T, dense *Result, rec RecoveredRow) {
 			rec.N, dense.X[i], rec.X, dense.R[i], rec.R, dense.Cycle[i], rec.Cycle)
 	}
 	for k := range dense.StationNames {
-		if dense.QueueLenRow(i)[k] != rec.QueueLen[k] || dense.Util[i][k] != rec.Util[k] ||
+		if dense.QueueLenRow(i)[k] != rec.QueueLen[k] || dense.UtilRow(i)[k] != rec.Util[k] ||
 			dense.ResidenceRow(i)[k] != rec.Residence[k] || dense.DemandsRow(i)[k] != rec.Demands[k] {
 			t.Fatalf("n=%d station %d metrics differ", rec.N, k)
 		}
@@ -68,7 +68,7 @@ func TestDecimatedBitIdenticalToDense(t *testing.T) {
 					t.Fatalf("n=%d: decimated row differs from dense", n)
 				}
 				for k := range m.Stations {
-					if dec.QueueLenRow(i)[k] != dense.QueueLenRow(j)[k] || dec.Util[i][k] != dense.Util[j][k] ||
+					if dec.QueueLenRow(i)[k] != dense.QueueLenRow(j)[k] || dec.UtilRow(i)[k] != dense.UtilRow(j)[k] ||
 						dec.ResidenceRow(i)[k] != dense.ResidenceRow(j)[k] || dec.DemandsRow(i)[k] != dense.DemandsRow(j)[k] {
 						t.Fatalf("n=%d station %d: decimated metrics differ from dense", n, k)
 					}
@@ -204,7 +204,7 @@ func TestDecimatedCancelKeepsFilledFrontier(t *testing.T) {
 				sumQ := r.X[last] * m.ThinkTime
 				for k, q := range r.QueueLenRow(last) {
 					sumQ += q
-					if u := r.Util[last][k]; !(u >= 0 && u <= 1) {
+					if u := r.UtilRow(last)[k]; !(u >= 0 && u <= 1) {
 						t.Fatalf("%s: station %d utilization %v outside [0, 1]", view, k, u)
 					}
 				}
@@ -315,7 +315,7 @@ func rowsEqual(t *testing.T, a *Result, i int, b *Result, j int) {
 		t.Fatalf("n=%d: scalars differ from n=%d: X %v/%v R %v/%v", a.N[i], b.N[j], a.X[i], b.X[j], a.R[i], b.R[j])
 	}
 	for k := range a.StationNames {
-		if a.QueueLenRow(i)[k] != b.QueueLenRow(j)[k] || a.Util[i][k] != b.Util[j][k] ||
+		if a.QueueLenRow(i)[k] != b.QueueLenRow(j)[k] || a.UtilRow(i)[k] != b.UtilRow(j)[k] ||
 			a.ResidenceRow(i)[k] != b.ResidenceRow(j)[k] || a.DemandsRow(i)[k] != b.DemandsRow(j)[k] {
 			t.Fatalf("n=%d station %d metrics differ", a.N[i], k)
 		}

@@ -218,8 +218,7 @@ func hashResult(h hash.Hash, r *Result) {
 	hashFloats(h, r.X...)
 	hashFloats(h, r.R...)
 	hashFloats(h, r.Cycle...)
-	utilRow := func(i int) []float64 { return r.Util[i] }
-	for _, row := range []func(int) []float64{r.QueueLenRow, utilRow, r.ResidenceRow, r.DemandsRow} {
+	for _, row := range []func(int) []float64{r.QueueLenRow, r.UtilRow, r.ResidenceRow, r.DemandsRow} {
 		for i := range r.N {
 			hashFloats(h, row(i)...)
 		}

@@ -110,7 +110,7 @@ func requireBitIdentical(t *testing.T, a, b *Result) {
 				i, a.N[i], b.N[i], a.X[i], b.X[i], a.R[i], b.R[i], a.Cycle[i], b.Cycle[i])
 		}
 		for k := range a.QueueLenRow(i) {
-			if a.QueueLenRow(i)[k] != b.QueueLenRow(i)[k] || a.Util[i][k] != b.Util[i][k] ||
+			if a.QueueLenRow(i)[k] != b.QueueLenRow(i)[k] || a.UtilRow(i)[k] != b.UtilRow(i)[k] ||
 				a.ResidenceRow(i)[k] != b.ResidenceRow(i)[k] || a.DemandsRow(i)[k] != b.DemandsRow(i)[k] {
 				t.Fatalf("station row %d/%d differs", i, k)
 			}

@@ -89,7 +89,7 @@ func TestTrajectoryStateJSONRoundTrip(t *testing.T) {
 			t.Fatalf("n=%d: extended trajectories diverge after wire hop", i+1)
 		}
 		for k := range a.QueueLenRow(i) {
-			if a.QueueLenRow(i)[k] != b.QueueLenRow(i)[k] || a.Util[i][k] != b.Util[i][k] {
+			if a.QueueLenRow(i)[k] != b.QueueLenRow(i)[k] || a.UtilRow(i)[k] != b.UtilRow(i)[k] {
 				t.Fatalf("n=%d station %d: per-station metrics diverge after wire hop", i+1, k)
 			}
 		}

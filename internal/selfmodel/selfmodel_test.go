@@ -86,7 +86,7 @@ func TestDeterministicValidation(t *testing.T) {
 	// Truth knee: first population at the saturation-utilization threshold.
 	kneeTruth := 0
 	for i := 0; i < truthMaxN; i++ {
-		if res.Util[i][0] >= m.Config().SaturationUtil {
+		if res.UtilRow(i)[0] >= m.Config().SaturationUtil {
 			kneeTruth = i + 1
 			break
 		}

@@ -45,7 +45,7 @@ func TestSolveDecimated(t *testing.T) {
 		}
 	}
 	for k := range want.StationNames {
-		if tr.FinalUtil[k] != want.Util[99][k] || tr.FinalQueueLen[k] != want.QueueLenRow(99)[k] {
+		if tr.FinalUtil[k] != want.UtilRow(99)[k] || tr.FinalQueueLen[k] != want.QueueLenRow(99)[k] {
 			t.Fatalf("station %d: decimated final row differs from dense", k)
 		}
 	}
@@ -74,7 +74,7 @@ func TestSolveDecimated(t *testing.T) {
 		t.Fatalf("recovered final row differs from dense: X %v vs %v", tr2.X[last], want.X[94])
 	}
 	for k := range want.StationNames {
-		if tr2.FinalUtil[k] != want.Util[94][k] {
+		if tr2.FinalUtil[k] != want.UtilRow(94)[k] {
 			t.Fatalf("station %d: recovered final util differs from dense", k)
 		}
 	}

@@ -215,7 +215,7 @@ func TestObserveDemandsWhatIfFlow(t *testing.T) {
 		t.Fatalf("whatif (X=%v, C=%v) != offline (X=%v, C=%v)", wi.X, wi.Cycle, ox, ocyc)
 	}
 	for n := 1; n <= 40; n++ {
-		if offline.Util[n-1][2] >= 0.95 {
+		if offline.UtilRow(n - 1)[2] >= 0.95 {
 			if n != wi.SaturationN {
 				t.Fatalf("offline saturation at n=%d, whatif said %d", n, wi.SaturationN)
 			}

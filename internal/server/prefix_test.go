@@ -42,8 +42,8 @@ func TestSolvePrefixHitBelowCachedMaxN(t *testing.T) {
 		t.Errorf("prefix X=%g, library X=%g", tr.X[19], want.X[19])
 	}
 	// FinalUtil must describe population 20, not the cached 40.
-	if tr.FinalUtil[0] != want.Util[19][0] {
-		t.Errorf("prefix FinalUtil=%g, library=%g", tr.FinalUtil[0], want.Util[19][0])
+	if tr.FinalUtil[0] != want.UtilRow(19)[0] {
+		t.Errorf("prefix FinalUtil=%g, library=%g", tr.FinalUtil[0], want.UtilRow(19)[0])
 	}
 }
 
