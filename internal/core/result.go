@@ -36,11 +36,11 @@ import (
 // row per population, read through ResidenceRow and DemandsRow. Queue
 // lengths and utilizations are derived from them on read (QueueLenRow,
 // UtilRow); the Util row views still store the utilizations as well. A
-// Solver grows the trajectory
-// geometrically: extending to a larger population appends rows without
-// copying or re-solving the prefix, and rows already handed out via Prefix
-// keep pointing at their original backing and stay immutable. A
-// constant-demand trajectory stores its demand vector once, for every row.
+// Solver grows the trajectory geometrically: extending to a larger
+// population appends rows without copying or re-solving the prefix, and
+// rows already handed out via Prefix keep pointing at their original
+// backing and stay immutable. A constant-demand trajectory stores its
+// demand vector once, for every row.
 type Result struct {
 	// Algorithm names the solver that produced the result.
 	Algorithm string
@@ -61,14 +61,15 @@ type Result struct {
 	// paper reports as "response time" in its deviation tables.
 	Cycle []float64
 	// Util[i][k] is the per-server utilization of station k in [0, 1]
-	// (X·D_k/C_k), the quantity plotted in the paper's Fig. 9.
+	// (X·D_k/C_k), the quantity plotted in the paper's Fig. 9. UtilRow(i)
+	// derives the same row; read it instead, this field is kept only for
+	// the benchmark module's oracle.
 	Util [][]float64
 
 	// Growable backing. Every stored per-station metric is a flat column:
 	// row i is the k-wide window [i·k, (i+1)·k) of one buffer (see rowOf).
 	// Util alone also keeps a row-header array, uRows, behind its public
-	// view.
-	// appendRow only reslices, so a step inside reserved capacity
+	// view. appendRow only reslices, so a step inside reserved capacity
 	// allocates nothing.
 	k       int // stations per row
 	capRows int // allocated row capacity

@@ -10,9 +10,10 @@ import (
 // mutates the stepper's own recursion state only on success, so a failed or
 // cancelled step can be retried. step writes only what every population
 // needs: X, R, Cycle and Residence (its scratch) of row i. fill writes the
-// rest of the row — QueueLen, Util and, where they vary by row, Demands —
-// from the post-step state, and runs only for rows the trajectory keeps, so
-// a decimated run does not fill the rows it discards. The row index is passed separately from n
+// rest of the row — Util and, where they vary by row, Demands; the queue
+// lengths are derived from the row — from the post-step state, and runs
+// only for rows the trajectory keeps, so a decimated run does not fill the
+// rows it discards. The row index is passed separately from n
 // because a decimated or chunked trajectory does not store row n-1 at index
 // n-1. stop is the per-step cancellation probe (nil when non-cancellable);
 // only steppers with inner fixed-point loops consult it. hooks is the
