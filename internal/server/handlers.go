@@ -332,8 +332,9 @@ func pointResult(res *core.Result, req *modelio.SolveRequest, populations []int,
 			recovered[row.N] = row
 		}
 	}
-	// utilAt derives a stored row's utilizations into buf, which holds
-	// every station of the models the service sees without allocating.
+	// utilAt derives a stored row's utilizations into buf, so a row of up
+	// to 16 stations (VINS and JPetStore have 12) allocates nothing. Each
+	// call overwrites the row the previous one returned.
 	var buf [16]float64
 	utilAt := func(n int) []float64 {
 		if i := res.IndexOf(n); i >= 0 {
