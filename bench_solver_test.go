@@ -429,6 +429,38 @@ func BenchmarkSolverPrefixHit(b *testing.B) {
 	recordBenchAllocs(b, "cached_n", 400, allocs)
 }
 
+// BenchmarkSolverStridedHit measures a /v1/solve prefix hit that reads a
+// 3000-row dense entry every tenth population, the shape of solverbench's
+// mixed-rw replies, through the handler in-process: decode, cache lookup,
+// the strided trajectory cut and its encoding, whose on-stride rows are
+// copied from the entry's strided row text memo and whose off-stride final
+// population is formatted. The steady-state allocs/op is recorded too.
+func BenchmarkSolverStridedHit(b *testing.B) {
+	srv := server.New(server.Config{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	h := srv.Handler()
+	body, err := json.Marshal(modelio.SolveRequest{
+		Algorithm: modelio.AlgoMultiServer, Model: testbed.VINS().Model(1), MaxN: 3000, Every: 10,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	post := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("solve: %d %s", rec.Code, rec.Body)
+		}
+	}
+	post() // the first solve: every later request is a hit
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+	}
+	b.StopTimer()
+	recordBenchAllocs(b, "cached_n", 3000, testing.AllocsPerRun(32, post))
+}
+
 // BenchmarkSolverClusterForward measures the full cross-node hop of a routed
 // solve: a two-node fabric where the entry node does not own the key, so every
 // request rides the forwarding path (route → forwardOne → peer's warm cache →

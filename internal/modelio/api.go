@@ -363,18 +363,20 @@ func NewTrajectory(res *core.Result, every int) *Trajectory {
 		t.N, t.X, t.R, t.Cycle = res.N[:k:k], res.X[:k:k], res.R[:k:k], res.Cycle[:k:k]
 		return t
 	}
+	// Rows 0, every, 2·every, … and the final row when it is off the stride
+	// (always keep the final population), in columns sized once: the float
+	// columns share one backing, each clipped so AppendRecovered reallocates.
 	last := len(res.N) - 1
-	for i := 0; i < len(res.N); i += every {
-		t.N = append(t.N, res.N[i])
-		t.X = append(t.X, res.X[i])
-		t.R = append(t.R, res.R[i])
-		t.Cycle = append(t.Cycle, res.Cycle[i])
+	rows := last/every + 1
+	if last%every != 0 {
+		rows++
 	}
-	if (last % every) != 0 { // always keep the final population
-		t.N = append(t.N, res.N[last])
-		t.X = append(t.X, res.X[last])
-		t.R = append(t.R, res.R[last])
-		t.Cycle = append(t.Cycle, res.Cycle[last])
+	fs := make([]float64, 3*rows)
+	t.N = make([]int, rows)
+	t.X, t.R, t.Cycle = fs[:rows:rows], fs[rows:2*rows:2*rows], fs[2*rows:]
+	for j := range rows {
+		i := min(j*every, last)
+		t.N[j], t.X[j], t.R[j], t.Cycle[j] = res.N[i], res.X[i], res.R[i], res.Cycle[i]
 	}
 	return t
 }
@@ -398,15 +400,12 @@ func (t *Trajectory) AppendRecovered(row core.RecoveredRow) {
 
 // Finite reports whether every number the trajectory encodes is finite.
 // JSON has no NaN or ±Inf, and a model whose think time and demands sum to
-// zero, or whose values overflow float64, solves to them. When a row text
-// memo covers the row columns (SetRowText), they are finite already: the
-// memo stops at the first row that is not.
+// zero, or whose values overflow float64, solves to them. The rows a row
+// text memo holds (SetRowText) are finite already, since the memo stops at
+// the first row that is not, so only the rows past them are scanned.
 func (t *Trajectory) Finite() bool {
-	cols := [][]float64{t.X, t.R, t.Cycle, t.FinalUtil, t.FinalQueueLen}
-	if t.memoCovers() {
-		cols = cols[3:]
-	}
-	for _, col := range cols {
+	c := t.memoRows()
+	for _, col := range [...][]float64{t.X[c:], t.R[c:], t.Cycle[c:], t.FinalUtil, t.FinalQueueLen} {
 		for _, v := range col {
 			if v-v != 0 { // NaN or ±Inf
 				return false

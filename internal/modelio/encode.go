@@ -2,8 +2,8 @@ package modelio
 
 // This file is the append-based encoder for the /v1/solve reply. It writes
 // exactly the bytes json.NewEncoder(w).Encode would (trailing newline
-// included), but a dense prefix hit can copy its row columns from the cache
-// entry's RowText memo instead of re-formatting every float on every hit.
+// included), but a reply served from a cache entry can copy its row columns
+// from the entry's RowText memo instead of re-formatting every float.
 
 import (
 	"encoding/json"
@@ -12,14 +12,16 @@ import (
 	"strconv"
 )
 
-// RowText memoizes the JSON text of a dense trajectory's N/X/R/Cycle columns:
-// each column holds its rows' values, every one followed by its comma, and
-// ends records where each row's text stops. A memo only ever grows: Extend
-// returns a new memo (old text copied, new rows formatted) and never writes
-// to one that readers may hold.
+// RowText memoizes the JSON text of a dense trajectory's N/X/R/Cycle columns
+// at one stride e: memo row j holds the values of row j·e (population
+// j·e+1). Each column holds its rows' values, every one followed by its
+// comma, and ends records where each row's text stops. A memo only ever
+// grows: Extend returns a new memo (old text copied, new rows formatted) and
+// never writes to one that readers may hold.
 type RowText struct {
-	cols [4][]byte   // n, x, r, cycle
-	ends [4][]uint32 // ends[c][i]: offset in cols[c] just past row i's comma
+	stride int
+	cols   [4][]byte   // n, x, r, cycle
+	ends   [4][]uint32 // ends[c][j]: offset in cols[c] just past row j's comma
 }
 
 // Rows returns how many rows the memo covers (0 for a nil memo).
@@ -30,62 +32,74 @@ func (rt *RowText) Rows() int {
 	return len(rt.ends[0])
 }
 
-// Extend returns a memo covering the columns' rows, copying rt's text and
-// formatting only the rows past it. The columns must be the rows rt was
-// built from, extended. Rows are memoized while they are dense populations
-// (row i holds population i+1) with finite values; the first row that is not
-// stops the memo, so a memo never holds text that encoding/json would refuse.
-// When no row is added, rt itself is returned.
-func (rt *RowText) Extend(n []int, x, r, cycle []float64) *RowText {
-	from := rt.Rows()
-	rows := min(len(n), len(x), len(r), len(cycle))
-	if rows <= from {
-		return rt
+// Stride returns the memo's stride (0 for a nil memo).
+func (rt *RowText) Stride() int {
+	if rt == nil {
+		return 0
 	}
-	next := &RowText{}
-	for c := range next.cols {
-		next.ends[c] = make([]uint32, 0, rows)
-		if rt != nil {
-			next.cols[c] = append(next.cols[c], rt.cols[c]...)
-			next.ends[c] = append(next.ends[c], rt.ends[c]...)
-		}
+	return rt.stride
+}
+
+// Extend returns a memo of rows 0, every, 2·every, … of the columns (every
+// ≤ 1 memoizes every row), copying rt's text and formatting only the rows
+// past it. The columns must be the rows rt was built from, extended or cut;
+// a memo at another stride is not reused, the new one starts over. Rows are
+// memoized while they are dense populations (row i holds population i+1)
+// with finite values; the first row that is not stops the memo, so a memo
+// never holds text that encoding/json would refuse. When no row is added, rt
+// itself is returned (nil when its stride differs).
+func (rt *RowText) Extend(every int, n []int, x, r, cycle []float64) *RowText {
+	every = max(every, 1)
+	if rt.Stride() != every {
+		rt = nil
 	}
-	for i := from; i < rows; i++ {
+	var add [4][]byte    // the new rows' text
+	var adds [4][]uint32 // add's row ends
+	for i := rt.Rows() * every; i < min(len(n), len(x), len(r), len(cycle)); i += every {
 		if n[i] != i+1 || !finite(x[i]) || !finite(r[i]) || !finite(cycle[i]) {
 			break
 		}
-		next.cols[0] = append(strconv.AppendInt(next.cols[0], int64(n[i]), 10), ',')
-		next.cols[1] = append(appendFloat(next.cols[1], x[i]), ',')
-		next.cols[2] = append(appendFloat(next.cols[2], r[i]), ',')
-		next.cols[3] = append(appendFloat(next.cols[3], cycle[i]), ',')
-		for c := range next.ends {
-			next.ends[c] = append(next.ends[c], uint32(len(next.cols[c])))
+		add[0] = append(strconv.AppendInt(add[0], int64(n[i]), 10), ',')
+		add[1] = append(appendFloat(add[1], x[i]), ',')
+		add[2] = append(appendFloat(add[2], r[i]), ',')
+		add[3] = append(appendFloat(add[3], cycle[i]), ',')
+		for c := range adds {
+			adds[c] = append(adds[c], uint32(len(add[c])))
 		}
 	}
-	if next.Rows() == from {
+	if len(adds[0]) == 0 {
 		return rt
 	}
-	for c, col := range next.cols {
-		if cap(col)-len(col) > len(col)/8 { // drop append's growth slack
-			next.cols[c] = append(make([]byte, 0, len(col)), col...)
+	// Each column is allocated once at its final size: the old text is
+	// copied once and the memo keeps no growth slack.
+	next := &RowText{stride: every}
+	for c := range next.cols {
+		var text []byte
+		var ends []uint32
+		if rt != nil {
+			text, ends = rt.cols[c], rt.ends[c]
+		}
+		next.cols[c] = append(append(make([]byte, 0, len(text)+len(add[c])), text...), add[c]...)
+		next.ends[c] = append(make([]uint32, 0, len(ends)+len(adds[c])), ends...)
+		for _, end := range adds[c] {
+			next.ends[c] = append(next.ends[c], uint32(len(text))+end)
 		}
 	}
 	return next
 }
 
-// appendColumn appends column c's first k rows as a JSON array (k ≥ 1 and
-// k ≤ Rows()): the memoized text minus the last row's comma.
-func (rt *RowText) appendColumn(b []byte, c, k int) []byte {
-	b = append(b, '[')
-	b = append(b, rt.cols[c][:rt.ends[c][k-1]-1]...)
-	return append(b, ']')
+// appendRows appends column c's text of the first k rows (k ≥ 1 and k ≤
+// Rows()), each value followed by its comma.
+func (rt *RowText) appendRows(b []byte, c, k int) []byte {
+	return append(b, rt.cols[c][:rt.ends[c][k-1]]...)
 }
 
 // SetRowText attaches a row-text memo to the trajectory. The memo must have
-// been built from the rows this trajectory was cut from; AppendJSON copies
-// the row columns from it when it covers the trajectory and the trajectory is
-// exactly populations 1..k, and formats them itself otherwise. encoding/json
-// ignores the memo, so both encoders produce the same bytes.
+// been built from the rows this trajectory was cut from, at any stride.
+// AppendJSON copies the text of the trajectory's leading rows whose
+// populations sit on the memo's rows (see memoRows) and formats the rest,
+// typically the one off-stride final population NewTrajectory appends.
+// encoding/json ignores the memo, so both encoders produce the same bytes.
 func (t *Trajectory) SetRowText(rt *RowText) { t.text = rt }
 
 // AppendJSON appends the response's JSON encoding to b: byte-identical to
@@ -126,30 +140,8 @@ func (t *Trajectory) appendJSON(b []byte) ([]byte, error) {
 	}
 	b = append(b, `,"stationNames":`...)
 	b = appendStrings(b, t.StationNames)
-	if k := len(t.N); t.memoCovers() {
-		b = append(b, `,"n":`...)
-		b = t.text.appendColumn(b, 0, k)
-		b = append(b, `,"x":`...)
-		b = t.text.appendColumn(b, 1, k)
-		b = append(b, `,"r":`...)
-		b = t.text.appendColumn(b, 2, k)
-		b = append(b, `,"cycle":`...)
-		b = t.text.appendColumn(b, 3, k)
-	} else {
-		b = append(b, `,"n":`...)
-		b = appendInts(b, t.N)
-		b = append(b, `,"x":`...)
-		if b, err = appendFloats(b, t.X); err != nil {
-			return b, err
-		}
-		b = append(b, `,"r":`...)
-		if b, err = appendFloats(b, t.R); err != nil {
-			return b, err
-		}
-		b = append(b, `,"cycle":`...)
-		if b, err = appendFloats(b, t.Cycle); err != nil {
-			return b, err
-		}
+	if b, err = t.appendRowColumns(b); err != nil {
+		return b, err
 	}
 	b = append(b, `,"finalUtil":`...)
 	if b, err = appendFloats(b, t.FinalUtil); err != nil {
@@ -168,23 +160,61 @@ func (t *Trajectory) appendJSON(b []byte) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// memoCovers reports whether the row text memo holds every row of the
-// trajectory's columns.
-func (t *Trajectory) memoCovers() bool { return t.text.Rows() >= len(t.N) && t.denseFrom1() }
+// floatColumnKeys are the float row columns' keys, in field order.
+var floatColumnKeys = [3]string{`,"x":`, `,"r":`, `,"cycle":`}
 
-// denseFrom1 reports whether the trajectory is exactly populations 1..k with
-// k ≥ 1 rows in every column — the only shape a RowText memo can serve.
-func (t *Trajectory) denseFrom1() bool {
-	k := len(t.N)
-	if k == 0 || len(t.X) != k || len(t.R) != k || len(t.Cycle) != k {
-		return false
+// appendRowColumns appends the n/x/r/cycle fields. The first memoRows rows
+// of each column are copied from the row text memo; only the rows past them
+// are formatted.
+func (t *Trajectory) appendRowColumns(b []byte) ([]byte, error) {
+	var err error
+	c := t.memoRows()
+	if c == 0 {
+		b = append(b, `,"n":`...)
+		b = appendInts(b, t.N)
+		for col, fs := range [3][]float64{t.X, t.R, t.Cycle} {
+			b = append(b, floatColumnKeys[col]...)
+			if b, err = appendFloats(b, fs); err != nil {
+				return b, err
+			}
+		}
+		return b, nil
 	}
-	for i, n := range t.N {
-		if n != i+1 {
-			return false
+	b = append(b, `,"n":[`...)
+	b = t.text.appendRows(b, 0, c)
+	for _, n := range t.N[c:] {
+		b = append(strconv.AppendInt(b, int64(n), 10), ',')
+	}
+	b[len(b)-1] = ']' // the last row's comma
+	for col, fs := range [3][]float64{t.X, t.R, t.Cycle} {
+		b = append(append(b, floatColumnKeys[col]...), '[')
+		b = t.text.appendRows(b, col+1, c)
+		for _, f := range fs[c:] {
+			if b, err = appendFloatField(b, f); err != nil {
+				return b, err
+			}
+			b = append(b, ',')
+		}
+		b[len(b)-1] = ']'
+	}
+	return b, nil
+}
+
+// memoRows returns how many leading rows of the trajectory the row text
+// memo holds: row j is on the memo when its population is j·stride+1, the
+// memo's row j. It is 0 without a memo or when the columns differ in length.
+func (t *Trajectory) memoRows() int {
+	k, rt := len(t.N), t.text
+	if rt == nil || len(t.X) != k || len(t.R) != k || len(t.Cycle) != k {
+		return 0
+	}
+	c := min(k, rt.Rows())
+	for j, n := range t.N[:c] {
+		if n != j*rt.stride+1 {
+			return j
 		}
 	}
-	return true
+	return c
 }
 
 func finite(f float64) bool { return !math.IsInf(f, 0) && !math.IsNaN(f) }

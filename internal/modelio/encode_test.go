@@ -61,7 +61,8 @@ func (f *fuzzBytes) floats(n int) []float64 {
 // fuzzResponse builds a SolveResponse the way the engine does — a Result cut
 // into a trajectory, optionally decimated, optionally with a recovered final
 // row — and attaches a row text memo built from the same rows extended,
-// truncated or left alone.
+// truncated or left alone, at the trajectory's stride or (shape bit 11)
+// another one. Shape bit 12 makes the Result's final row non-finite.
 func fuzzResponse(data []byte, modelName, station string, shape uint16) *SolveResponse {
 	f := &fuzzBytes{b: data}
 	k := int(f.byte() % 40)
@@ -71,6 +72,9 @@ func fuzzResponse(data []byte, modelName, station string, shape uint16) *SolveRe
 		n[i] = i + 1
 	}
 	x, r, cycle := f.floats(total), f.floats(total), f.floats(total)
+	if shape&(1<<12) != 0 && k > 0 {
+		cycle[k-1] = math.Inf(1)
+	}
 	stations := []string{station, "app/cpu"}
 	if shape&1 != 0 {
 		stations = nil
@@ -116,9 +120,13 @@ func fuzzResponse(data []byte, modelName, station string, shape uint16) *SolveRe
 	case 1:
 		memoRows = k
 	}
+	stride := every
+	if shape&(1<<11) != 0 {
+		stride = int(f.byte() % 5)
+	}
 	half := memoRows / 2
-	rt := (*RowText)(nil).Extend(n[:half], x[:half], r[:half], cycle[:half])
-	rt = rt.Extend(n[:memoRows], x[:memoRows], r[:memoRows], cycle[:memoRows])
+	rt := (*RowText)(nil).Extend(stride, n[:half], x[:half], r[:half], cycle[:half])
+	rt = rt.Extend(stride, n[:memoRows], x[:memoRows], r[:memoRows], cycle[:memoRows])
 	if shape&(1<<8) == 0 {
 		t.SetRowText(rt)
 	}
@@ -139,6 +147,15 @@ func FuzzAppendSolveResponse(f *testing.F) {
 	f.Add([]byte{0, 0}, "", "", uint16(1|1<<5))
 	f.Add([]byte{8, 2, 1, 10}, "nil trajectory", "s", uint16(1<<10))
 	f.Add([]byte{16, 4, 1, 9, 1, 5, 1, 6, 1, 7}, "decimated", "s", uint16(3<<1|1<<4|2<<6))
+	// Strided memos (the shape's stride bits count the bits above them):
+	// every=2 ending on the stride, every=2 with an off-stride final row,
+	// every=4 with a memo of half the rows, every=3 with an infinite
+	// off-stride final row, and every=3 with a dense memo.
+	f.Add([]byte{23, 4, 1, 3, 1, 9, 1, 12, 1, 17, 1, 18}, "on stride", "s", uint16(3<<1|2<<6))
+	f.Add([]byte{24, 4, 1, 3, 1, 9, 1, 12, 1, 17, 1, 18}, "off stride", "s", uint16(3<<1|2<<6))
+	f.Add([]byte{31, 5, 1, 3, 1, 9}, "short memo", "s", uint16(4<<1))
+	f.Add([]byte{23, 2, 1, 3, 1, 9}, "infinite final row", "s", uint16(3<<1|1<<6|1<<12))
+	f.Add([]byte{30, 0, 1, 3, 1, 9}, "memo at another stride", "s", uint16(1<<11|2<<6))
 	f.Fuzz(func(t *testing.T, data []byte, modelName, station string, shape uint16) {
 		resp := fuzzResponse(data, modelName, station, shape)
 		var want bytes.Buffer
@@ -169,23 +186,84 @@ func FuzzAppendSolveResponse(f *testing.F) {
 func TestRowTextExtendLeavesOldMemo(t *testing.T) {
 	n := []int{1, 2, 3, 4, 5}
 	x := []float64{0.5, 1, 1.5, math.NaN(), 2.5}
-	old := (*RowText)(nil).Extend(n[:2], x[:2], x[:2], x[:2])
+	old := (*RowText)(nil).Extend(1, n[:2], x[:2], x[:2], x[:2])
 	oldText := string(old.cols[1])
-	next := old.Extend(n, x, x, x)
+	next := old.Extend(1, n, x, x, x)
 	if old.Rows() != 2 || string(old.cols[1]) != oldText {
 		t.Fatalf("old memo changed: %d rows, %q", old.Rows(), old.cols[1])
 	}
 	if next.Rows() != 3 {
 		t.Fatalf("memo past a NaN row: %d rows, want 3", next.Rows())
 	}
-	if got := string(next.appendColumn(nil, 1, 3)); got != "[0.5,1,1.5]" {
+	if got := string(next.appendRows(nil, 1, 3)); got != "0.5,1,1.5," {
 		t.Fatalf("column text %s", got)
 	}
-	if same := next.Extend(n[:3], x[:3], x[:3], x[:3]); same != next {
+	if same := next.Extend(1, n[:3], x[:3], x[:3], x[:3]); same != next {
 		t.Error("an Extend that adds no row should return the memo itself")
 	}
-	if gap := (*RowText)(nil).Extend([]int{2, 3}, x[:2], x[:2], x[:2]); gap.Rows() != 0 {
+	if gap := (*RowText)(nil).Extend(1, []int{2, 3}, x[:2], x[:2], x[:2]); gap.Rows() != 0 {
 		t.Errorf("memo of a trajectory not starting at population 1: %d rows", gap.Rows())
+	}
+}
+
+// TestRowTextStride: a strided memo holds rows 0, e, 2e, … and extends at
+// its own stride; a memo at another stride is not reused; and a reply whose
+// final population is off the stride copies its on-stride rows and formats
+// only the final one, as encoding/json would.
+func TestRowTextStride(t *testing.T) {
+	n := make([]int, 25)
+	x := make([]float64, 25)
+	for i := range n {
+		n[i], x[i] = i+1, float64(i+1)/4
+	}
+	rt := (*RowText)(nil).Extend(4, n[:9], x[:9], x[:9], x[:9])
+	if rt.Stride() != 4 || rt.Rows() != 3 || string(rt.appendRows(nil, 0, 3)) != "1,5,9," {
+		t.Fatalf("stride %d, %d rows, n text %q; want stride 4 over populations 1,5,9",
+			rt.Stride(), rt.Rows(), rt.appendRows(nil, 0, rt.Rows()))
+	}
+	if same := rt.Extend(4, n[:12], x[:12], x[:12], x[:12]); same != rt {
+		t.Error("an Extend that adds no on-stride row should return the memo itself")
+	}
+	longer := rt.Extend(4, n, x, x, x)
+	if longer.Rows() != 7 || string(longer.appendRows(nil, 1, 7)) != "0.25,1.25,2.25,3.25,4.25,5.25,6.25," {
+		t.Fatalf("extended memo: %d rows, x text %q", longer.Rows(), longer.appendRows(nil, 1, longer.Rows()))
+	}
+	if rt.Rows() != 3 {
+		t.Fatalf("extending changed the old memo to %d rows", rt.Rows())
+	}
+	other := rt.Extend(3, n[:7], x[:7], x[:7], x[:7])
+	if other.Stride() != 3 || other.Rows() != 3 || string(other.appendRows(nil, 0, 3)) != "1,4,7," {
+		t.Fatalf("a memo at another stride: stride %d, %d rows, n text %q",
+			other.Stride(), other.Rows(), other.appendRows(nil, 0, other.Rows()))
+	}
+
+	sol, err := core.NewExactMVASolver(apiTestModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sol.Run(25); err != nil {
+		t.Fatal(err)
+	}
+	res := sol.Result()
+	memo := (*RowText)(nil).Extend(4, res.N, res.X, res.R, res.Cycle)
+	for _, maxN := range []int{1, 5, 8, 9, 13, 25} {
+		prefix, err := res.Prefix(maxN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := NewTrajectory(prefix, 4)
+		tr.SetRowText(memo)
+		want, err := json.Marshal(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := tr.appendJSON(nil)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("maxN=%d: got %s (%v), want %s", maxN, got, err, want)
+		}
+		if c, onStride := tr.memoRows(), (maxN-1)/4+1; c != onStride {
+			t.Errorf("maxN=%d: memo serves %d rows, want the %d on-stride ones", maxN, c, onStride)
+		}
 	}
 }
 
@@ -195,7 +273,7 @@ func TestRowTextExtendLeavesOldMemo(t *testing.T) {
 func TestFiniteTrustsOnlyACoveringMemo(t *testing.T) {
 	n := []int{1, 2, 3, 4, 5}
 	x := []float64{0.5, 1, 1.5, 2, 2.5}
-	memo := (*RowText)(nil).Extend(n[:3], x[:3], x[:3], x[:3])
+	memo := (*RowText)(nil).Extend(1, n[:3], x[:3], x[:3], x[:3])
 	for col := 0; col < 3; col++ {
 		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 			cols := [3][]float64{x, x, x}
@@ -207,7 +285,7 @@ func TestFiniteTrustsOnlyACoveringMemo(t *testing.T) {
 			if tr.Finite() {
 				t.Errorf("column %d holds %g in row 4, past a 3-row memo, and passed", col, bad)
 			}
-			tr.SetRowText(memo.Extend(n, tr.X, tr.R, tr.Cycle)) // stops at the bad row
+			tr.SetRowText(memo.Extend(1, n, tr.X, tr.R, tr.Cycle)) // stops at the bad row
 			if tr.Finite() {
 				t.Errorf("column %d holds %g in row 4 and passed with an extended memo", col, bad)
 			}
@@ -219,15 +297,27 @@ func TestFiniteTrustsOnlyACoveringMemo(t *testing.T) {
 	if !tr.Finite() {
 		t.Fatal("a finite trajectory its memo covers was refused")
 	}
+	// A stride-2 memo holds populations 1, 3 and 5; the off-stride final
+	// population 4 is checked.
+	strided := &Trajectory{N: []int{1, 3, 4}, X: []float64{0.5, 1.5, math.Inf(1)}, R: x[:3], Cycle: x[:3],
+		FinalUtil: []float64{0.5}, FinalQueueLen: []float64{1}, MaxX: 1.5, MaxXAt: 3}
+	strided.SetRowText((*RowText)(nil).Extend(2, n, x, x, x))
+	if c := strided.memoRows(); c != 2 {
+		t.Fatalf("the stride-2 memo serves %d rows, want 2", c)
+	}
+	if strided.Finite() {
+		t.Error("an infinite off-stride final row passed under a strided memo")
+	}
 	tr.FinalQueueLen = []float64{math.NaN()}
 	if tr.Finite() {
 		t.Error("a NaN final queue length passed under a covering memo")
 	}
 }
 
-// TestRowTextFootprint bounds a memo's memory per row (text plus offsets,
-// capacity included) on a 400-population multiserver trajectory, the size
-// the README quotes next to the entry's own row store.
+// TestRowTextFootprint bounds a memo's memory per memoized row (text plus
+// offsets, capacity included) on a 400-population multiserver trajectory,
+// the size the README quotes next to the entry's own row store, for a dense
+// memo and for a stride-10 one.
 func TestRowTextFootprint(t *testing.T) {
 	sol, err := core.NewMultiServerSolver(apiTestModel(), core.MultiServerOptions{TraceStation: -1})
 	if err != nil {
@@ -237,19 +327,22 @@ func TestRowTextFootprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := sol.Result()
-	half := (*RowText)(nil).Extend(res.N[:200], res.X[:200], res.R[:200], res.Cycle[:200])
-	for name, rt := range map[string]*RowText{
-		"built at once":  (*RowText)(nil).Extend(res.N, res.X, res.R, res.Cycle),
-		"built in steps": half.Extend(res.N, res.X, res.R, res.Cycle),
-	} {
-		total := 0
-		for c := range rt.cols {
-			total += cap(rt.cols[c]) + 4*cap(rt.ends[c])
-		}
-		perRow := float64(total) / float64(rt.Rows())
-		t.Logf("%s: %.1f bytes/row", name, perRow)
-		if rt.Rows() != 400 || perRow > 72 {
-			t.Errorf("%s: %d rows at %.1f bytes/row, want 400 rows at <= 72", name, rt.Rows(), perRow)
+	for _, every := range []int{1, 10} {
+		half := (*RowText)(nil).Extend(every, res.N[:200], res.X[:200], res.R[:200], res.Cycle[:200])
+		for name, rt := range map[string]*RowText{
+			"built at once":  (*RowText)(nil).Extend(every, res.N, res.X, res.R, res.Cycle),
+			"built in steps": half.Extend(every, res.N, res.X, res.R, res.Cycle),
+		} {
+			total := 0
+			for c := range rt.cols {
+				total += cap(rt.cols[c]) + 4*cap(rt.ends[c])
+			}
+			perRow := float64(total) / float64(rt.Rows())
+			t.Logf("every %d, %s: %.1f bytes/row", every, name, perRow)
+			if want := 400 / every; rt.Rows() != want || perRow > 72 {
+				t.Errorf("every %d, %s: %d rows at %.1f bytes/row, want %d rows at <= 72",
+					every, name, rt.Rows(), perRow, want)
+			}
 		}
 	}
 }

@@ -59,10 +59,12 @@ type cacheEntry struct {
 	// every solved population, readable without the entry lock.
 	traj atomic.Pointer[core.Result]
 
-	// text memoizes the JSON text of traj's rows for dense prefix hits
-	// (rowText). It is built lazily by the first hit it does not cover, only
-	// ever replaced by a longer memo, and dies with the entry.
-	text atomic.Pointer[modelio.RowText]
+	// text and strided memoize the JSON text of traj's rows for replies
+	// served from this entry (rowText): text every row, for every ≤ 1
+	// replies, and strided every e-th row at the latest stride e > 1 asked
+	// for. Each is built lazily by the first reply it does not cover and
+	// dies with the entry.
+	text, strided atomic.Pointer[modelio.RowText]
 
 	// evicted marks an entry removed from the LRU; lock holders release the
 	// solver's scratch on their way out and lock waiters retry on a fresh
@@ -239,8 +241,8 @@ func (o cacheOutcome) cached() bool { return o <= cacheCoalesced }
 // (acquiring the worker pool and threading ctx). The entry lock is the one
 // place a request waits for another: a waiter rechecks the published
 // snapshot before it solves, so concurrent requests at or below a running
-// target share that run. A lock-free hit also returns the entry (nil
-// otherwise), whose row text memo can serve the reply.
+// target share that run. Every outcome but a miss also returns the entry
+// (nil for a miss), whose row text memo can serve the reply.
 func (c *solveCache) do(ctx context.Context, key string, maxN int,
 	build func() (*core.Solver, error),
 	run func(ctx context.Context, s *core.Solver, maxN int) error,
@@ -268,7 +270,7 @@ func (c *solveCache) do(ctx context.Context, key string, maxN int,
 		if t := e.traj.Load(); t != nil && t.SolvedN() >= maxN {
 			c.unlockEntry(e)
 			res, err := t.PrefixPop(maxN)
-			return res, nil, cacheCoalesced, err
+			return res, e, cacheCoalesced, err
 		}
 		outcome := cacheMiss
 		if e.solver == nil {
@@ -300,7 +302,10 @@ func (c *solveCache) do(ctx context.Context, key string, maxN int,
 			return nil, nil, outcome, runErr
 		}
 		res, err := e.traj.Load().PrefixPop(maxN)
-		return res, nil, outcome, err
+		if outcome == cacheMiss {
+			e = nil // a first solve builds no memo
+		}
+		return res, e, outcome, err
 	}
 }
 
@@ -322,27 +327,31 @@ func (c *solveCache) acquire(ctx context.Context, e *cacheEntry) bool {
 	}
 }
 
-// rowText returns e's row text memo when it covers n rows, or nil. A memo
-// that falls short is first extended to the whole published snapshot (the
-// old text is copied, only the new rows are formatted) and published
-// monotonically: a racing build never replaces a longer memo with a shorter
-// one. Call only for a dense entry whose snapshot covers n.
-func (e *cacheEntry) rowText(n int) *modelio.RowText {
-	cur := e.text.Load()
-	if cur.Rows() >= n {
+// rowText returns a row text memo at the reply's stride (every ≤ 1 for
+// every row) that covers the reply's first maxN populations, or a shorter
+// one when a row it needs is not finite. A memo that falls short is
+// extended from the published snapshot: its old text is copied and only the
+// new rows are formatted. The dense memo, which nothing replaces, is
+// extended to the whole snapshot. The strided memo is extended only as far
+// as the reply needs, and a reply at another stride replaces it, so a
+// strided reply formats at most its own rows. The new memo is published
+// unless a racing build published first. Call only for a dense entry whose
+// snapshot covers maxN.
+func (e *cacheEntry) rowText(every, maxN int) *modelio.RowText {
+	slot := &e.strided
+	if every <= 1 {
+		slot, every = &e.text, 1
+	}
+	cur := slot.Load()
+	if cur.Stride() == every && cur.Rows() > (maxN-1)/every {
 		return cur
 	}
-	snap := e.traj.Load()
-	next := cur.Extend(snap.N, snap.X, snap.R, snap.Cycle)
-	for !e.text.CompareAndSwap(cur, next) {
-		if cur = e.text.Load(); cur.Rows() >= next.Rows() {
-			next = cur // a racing build published at least as much
-			break
-		}
+	snap, rows := e.traj.Load(), maxN
+	if every == 1 {
+		rows = len(snap.N)
 	}
-	if next.Rows() < n {
-		return nil // a row the memo cannot hold (see RowText.Extend)
-	}
+	next := cur.Extend(every, snap.N[:rows], snap.X[:rows], snap.R[:rows], snap.Cycle[:rows])
+	slot.CompareAndSwap(cur, next)
 	return next
 }
 

@@ -121,10 +121,11 @@ func (s *Server) SolveKeyed(ctx context.Context, key string, req *modelio.SolveR
 			return nil, err
 		}
 		traj.AppendRecovered(rows[0])
-	} else if e != nil && req.Every <= 1 && res.Stride() == 1 {
-		// A dense prefix hit replies with every stored row: AppendJSON
-		// copies their text from the entry's memo instead of re-formatting.
-		traj.SetRowText(e.rowText(req.MaxN))
+	} else if e != nil && res.Stride() == 1 {
+		// A reply from a dense entry's hit, coalesced wait or extend copies
+		// its rows' text from the entry's memo at the reply's stride;
+		// AppendJSON formats only the off-stride final population.
+		traj.SetRowText(e.rowText(req.Every, req.MaxN))
 	}
 	if !traj.Finite() {
 		return nil, queueing.ErrNotFinite

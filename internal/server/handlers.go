@@ -140,9 +140,9 @@ func recoverFactory(req *modelio.SolveRequest) func() (*core.Solver, error) {
 // solveWithKey runs req through the prefix cache and the worker pool under
 // the caller's cache key (solves hash the request once per node; sweeps
 // derive per-group keys from a shared base instead of re-hashing the
-// model), keeping the cache hit/miss counters and in-flight gauge. A
-// lock-free prefix hit also returns the cache entry that answered it (nil
-// otherwise). The worker pool is acquired only inside the run, so requests
+// model), keeping the cache hit/miss counters and in-flight gauge. Every
+// answer but a first solve also returns the cache entry that gave it (nil
+// for a miss). The worker pool is acquired only inside the run, so requests
 // answered from a cached prefix never queue behind in-flight solves.
 //
 // The request's trace (when present) gets a "cache" span covering the lookup
@@ -246,7 +246,7 @@ func (s *Server) solveWithKey(ctx context.Context, key string, req *modelio.Solv
 	}
 	if !outcome.cached() {
 		s.metrics.cacheMisses.Add(1)
-		return res, nil, false, nil
+		return res, e, false, nil
 	}
 	s.metrics.cacheHits.Add(1)
 	if outcome == cacheCoalesced {
